@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation over dense numpy arrays.
 
-Everything runs in float64 by default (float32 selectable through `set_dtype`
-for speed runs, but gradient checks assume float64). The tape is built
-eagerly; `no_grad()` disables recording for inference passes.
+Every Tensor holds float64 data; checkpoints and gradient checks assume
+it. The tape is built eagerly; `no_grad()` disables recording for
+inference passes.
 """
 
 import contextlib
@@ -10,19 +10,6 @@ import contextlib
 import numpy as np
 
 _GRAD_ENABLED = True
-_DTYPE = np.float64
-
-
-def set_dtype(dtype):
-    """Select the working precision (np.float64 or np.float32)."""
-    global _DTYPE
-    if dtype not in (np.float64, np.float32):
-        raise ValueError("dtype must be np.float64 or np.float32")
-    _DTYPE = dtype
-
-
-def get_dtype():
-    return _DTYPE
 
 
 @contextlib.contextmanager
@@ -47,7 +34,7 @@ class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
-        self.data = np.asarray(data, dtype=_DTYPE)
+        self.data = np.asarray(data, dtype=float)
         self.grad = None
         if _GRAD_ENABLED:
             self._parents = parents
@@ -97,10 +84,6 @@ def _accum(t, g):
     t.grad += g
 
 
-def constant(x):
-    return Tensor(x)
-
-
 def add(a, b):
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
@@ -110,17 +93,6 @@ def add(a, b):
         _accum(b, g)
 
     return Tensor(a.data + b.data, (a, b), bwd)
-
-
-def sub(a, b):
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"sub shape mismatch: {a.data.shape} vs {b.data.shape}")
-
-    def bwd(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return Tensor(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b):
@@ -147,7 +119,7 @@ def scale(a, c):
 
 def add_const(a, c):
     """Add a constant array of the same shape (no gradient into c)."""
-    c = np.asarray(c, dtype=_DTYPE)
+    c = np.asarray(c, dtype=float)
     if a.data.shape != c.shape:
         raise ValueError(f"add_const shape mismatch: {a.data.shape} vs {c.shape}")
 

@@ -1,9 +1,10 @@
 """Experiment driver: sampling, training, evaluation, caching, prediction.
 
-Configuration is a flat ``key = value`` text file; every key can be
-overridden on the command line (flags win). Run i of a command uses
-base_seed + i for sampling and base_seed + 10000 + i for training, so the
-two are independently reproducible.
+Configuration is a flat ``key = value`` text file; the keys that have a
+flag (see `build_parser`) can be overridden on the command line (flags
+win). Run i of a command uses base_seed + i for sampling and
+base_seed + 10000 + i for training, so the two are independently
+reproducible.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import (load_conll, load_taxonomy, parse_taxonomy,
+from .corpus import (Sentence, conll_sentences, load_conll, load_taxonomy,
                      rename_taxonomy)
 from .encoders import build_vocabulary, load_static_vectors
 from .evaluation import aggregate_runs, evaluate_dataset, result_record
@@ -316,28 +317,7 @@ def cmd_eval(args):
     return 1 if failures else 0
 
 
-def _read_token_lines(path):
-    """Sentences of tokens from a CoNLL file, tags optional."""
-    sentences = []
-    current = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if line.startswith("-DOCSTART-"):
-                continue
-            if not line.strip():
-                if current:
-                    sentences.append(current)
-                    current = []
-                continue
-            current.append(line.split()[0])
-    if current:
-        sentences.append(current)
-    return sentences
-
-
 def cmd_predict(args):
-    from .corpus import Sentence
     model = load_checkpoint(args.checkpoint)
     cache = None
     if args.cache:
@@ -347,13 +327,14 @@ def cmd_predict(args):
         if args.cache_out:
             save_label_cache(cache, args.cache_out)
 
-    token_sentences = _read_token_lines(args.input)
     lines = []
-    for tokens in token_sentences:
-        sentence = Sentence(tokens, ["O"] * len(tokens))
-        tags = predict_tags(model, sentence, cache=cache)
-        lines += [f"{tok} {tag}" for tok, tag in zip(tokens, tags)]
-        lines.append("")
+    with open(args.input, encoding="utf-8") as f:
+        for rows in conll_sentences(f):
+            tokens = [cols[0] for _, cols in rows]
+            sentence = Sentence(tokens, ["O"] * len(tokens))
+            tags = predict_tags(model, sentence, cache=cache)
+            lines += [f"{tok} {tag}" for tok, tag in zip(tokens, tags)]
+            lines.append("")
     Path(args.output).write_text(
         "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     return 0

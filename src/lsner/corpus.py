@@ -6,8 +6,9 @@ original label names to natural language names, one tab-separated pair
 per line; ``O`` is implicit.
 """
 
+import contextlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _TAG_RE = re.compile(r"^(O|[BI]-.+)$")
 
@@ -55,9 +56,6 @@ class Sentence:
 
     def __len__(self):
         return len(self.tokens)
-
-    def spans(self):
-        return extract_spans(self.tags)
 
 
 @dataclass
@@ -114,6 +112,26 @@ def infer_natural_name(original):
     return original.lower().replace("_", " ").replace("-", " ").replace("/", " ")
 
 
+def conll_sentences(lines):
+    """Split CoNLL column text into sentences.
+
+    Yields one list of (1-based line number, whitespace-split columns) per
+    sentence. ``-DOCSTART-`` lines are skipped; blank lines end a sentence.
+    """
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        if line.startswith("-DOCSTART-"):
+            continue
+        cols = line.split()
+        if cols:
+            rows.append((lineno, cols))
+        elif rows:
+            yield rows
+            rows = []
+    if rows:
+        yield rows
+
+
 def parse_conll(lines, name="corpus", taxonomy=None):
     """Parse CoNLL column text into a Dataset.
 
@@ -121,34 +139,20 @@ def parse_conll(lines, name="corpus", taxonomy=None):
     the 1-based line number of the first malformed row.
     """
     sentences = []
-    tokens, tags = [], []
     seen_types = []
-
-    def flush():
-        if tokens:
-            sentences.append(Sentence(list(tokens), list(tags)))
-            tokens.clear()
-            tags.clear()
-
-    lineno = 0
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if line.startswith("-DOCSTART-"):
-            continue
-        if not line.strip():
-            flush()
-            continue
-        cols = line.split()
-        if len(cols) < 2:
-            raise CorpusError(f"line {lineno}: expected token and tag columns")
-        token, tag = cols[0], cols[-1]
-        if not _TAG_RE.match(tag):
-            raise CorpusError(f"line {lineno}: bad BIO tag {tag!r}")
-        if tag != "O" and tag[2:] not in seen_types:
-            seen_types.append(tag[2:])
-        tokens.append(token)
-        tags.append(tag)
-    flush()
+    for rows in conll_sentences(lines):
+        tokens, tags = [], []
+        for lineno, cols in rows:
+            if len(cols) < 2:
+                raise CorpusError(f"line {lineno}: expected token and tag columns")
+            token, tag = cols[0], cols[-1]
+            if not _TAG_RE.match(tag):
+                raise CorpusError(f"line {lineno}: bad BIO tag {tag!r}")
+            if tag != "O" and tag[2:] not in seen_types:
+                seen_types.append(tag[2:])
+            tokens.append(token)
+            tags.append(tag)
+        sentences.append(Sentence(tokens, tags))
     if not sentences:
         raise CorpusError("empty corpus")
 
@@ -157,8 +161,17 @@ def parse_conll(lines, name="corpus", taxonomy=None):
     return Dataset(name, sentences, taxonomy)
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix the message of a CorpusError raised inside with `path`."""
+    try:
+        yield
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from exc
+
+
 def load_conll(path, taxonomy=None):
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f, _naming(path):
         return parse_conll(f, name=str(path), taxonomy=taxonomy)
 
 
@@ -186,7 +199,7 @@ def parse_taxonomy(lines):
 
 
 def load_taxonomy(path):
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f, _naming(path):
         return parse_taxonomy(f)
 
 
@@ -322,7 +335,8 @@ def filter_coarse_type(dataset, coarse, rng, separator="-"):
         filtered.append(Sentence(list(s.tokens), tags))
 
     annotated_idx = [i for i, s in enumerate(filtered) if extract_spans(s.tags)]
-    pool = [i for i in range(len(filtered)) if i not in set(annotated_idx)]
+    annotated = set(annotated_idx)
+    pool = [i for i in range(len(filtered)) if i not in annotated]
     n_a = len(annotated_idx)
     if frac > 0 and n_a:
         keep_u = min(len(pool), int(n_a * (1.0 - frac) / frac))

@@ -22,6 +22,8 @@ MASK_TOKEN = "<mask>"
 CONTEXTUAL_SCHEMES = ("TOKEN", "LABEL", "MASK", "BIOTAG_COLON_MASK",
                       "PAREN_BIOTAG_MASK", "BIOTAG_COLON_LABEL",
                       "PAREN_BIOTAG_LABEL")
+# most support sentences a contextual scheme encodes per tagging label
+CONTEXT_BUDGET = 10
 
 
 @dataclass
@@ -41,8 +43,8 @@ class Vocabulary:
         return self.index.get(token, self.index[UNK_TOKEN])
 
 
-def build_vocabulary(sentences, min_freq=1, lowercase=True, extra_tokens=()):
-    """Vocabulary from training sentences plus any extra surface forms.
+def build_vocabulary(sentences, min_freq=1, extra_tokens=()):
+    """Lowercased vocabulary from training sentences plus extra surface forms.
 
     Label-name words should be passed through `extra_tokens` so the label
     encoder never hits <unk> on its own names.
@@ -51,13 +53,13 @@ def build_vocabulary(sentences, min_freq=1, lowercase=True, extra_tokens=()):
     counts = Counter()
     for s in sentences:
         for tok in s.tokens:
-            counts[tok.lower() if lowercase else tok] += 1
+            counts[tok.lower()] += 1
     tokens = [PAD_TOKEN, UNK_TOKEN, MASK_TOKEN]
     for tok, c in counts.items():
         if c >= min_freq:
             tokens.append(tok)
     for tok in extra_tokens:
-        tok = tok.lower() if lowercase else tok
+        tok = tok.lower()
         if tok not in tokens[3:] and tok not in (PAD_TOKEN, UNK_TOKEN, MASK_TOKEN):
             tokens.append(tok)
     # dedupe preserving first occurrence
@@ -90,7 +92,6 @@ class LabelScheme:
 
     kind: str = "name"  # "name" | "contextual"
     sub: str | None = None
-    budget: int = 10
 
     @classmethod
     def parse(cls, text):
@@ -114,7 +115,6 @@ class TokenEncoderParams:
     ctx_kind: str
     ctx_params: dict
     caps: ParamGroup | None = None
-    lowercase: bool = True
     window: int = 2
 
     def groups(self):
@@ -141,21 +141,15 @@ def encode_tokens(sentence, params, vocab):
     """Encode one sentence to a T x d Tensor."""
     if len(sentence) == 0:
         raise ValueError("cannot encode an empty sentence")
-    if params.lowercase:
-        idx = [vocab.lookup(t.lower()) for t in sentence.tokens]
-    else:
-        idx = [vocab.lookup(t) for t in sentence.tokens]
-    x = ad.take_rows(params.embedding.tensor, idx)
-    if params.caps is not None:
-        cases = [case_index(t) for t in sentence.tokens]
-        x = ad.add(x, ad.take_rows(params.caps.tensor, cases))
-    return apply_contextualizer(x, params.ctx_params, params.ctx_kind,
-                                window=params.window)
+    return _encode_token_list(sentence.tokens, params, vocab, caps=params.caps)
 
 
-def _encode_token_list(tokens, params, vocab):
-    idx = [vocab.lookup(t.lower()) for t in tokens]
-    x = ad.take_rows(params.embedding.tensor, idx)
+def _encode_token_list(tokens, params, vocab, caps=None):
+    """Embed the lowercased tokens, add each token's caps row when `caps`
+    is given, and contextualize: a T x d Tensor."""
+    x = ad.take_rows(params.embedding.tensor, [vocab.lookup(t.lower()) for t in tokens])
+    if caps is not None:
+        x = ad.add(x, ad.take_rows(caps.tensor, [case_index(t) for t in tokens]))
     return apply_contextualizer(x, params.ctx_params, params.ctx_kind,
                                 window=params.window)
 
@@ -180,11 +174,11 @@ def _replacement(sub, position_in_span, name_tokens):
     raise ValueError(f"unknown sub-scheme {sub!r}")
 
 
-def build_contextual_label_inputs(label, support_sentences, sub, rng, budget=10):
+def build_contextual_label_inputs(label, support_sentences, sub, rng):
     """Context token lists for one tagging label.
 
-    Picks up to `budget` distinct support sentences containing an entity
-    of the label's type, and in each one rewrites every token of one
+    Picks up to CONTEXT_BUDGET distinct support sentences containing an
+    entity of the label's type, and in each one rewrites every token of one
     (randomly chosen) occurrence according to the sub-scheme. Returns an
     empty list when no sentence qualifies (callers fall back to the
     name-only representation).
@@ -195,7 +189,7 @@ def build_contextual_label_inputs(label, support_sentences, sub, rng, budget=10)
                 if any(sp.type == label.original for sp in extract_spans(s.tags))]
     if not eligible:
         return []
-    n = min(budget, len(eligible))
+    n = min(CONTEXT_BUDGET, len(eligible))
     picks = rng.choice(len(eligible), size=n, replace=False)
     name_tokens = label.text.split()[1:]  # strip the begin/inside word
 
@@ -218,7 +212,7 @@ def build_contextual_label_inputs(label, support_sentences, sub, rng, budget=10)
 def select_label_contexts(labels, support_sentences, scheme, rng):
     """Freeze the contextual inputs for every tagging label at stage start."""
     return {label.text: build_contextual_label_inputs(
-        label, support_sentences, scheme.sub, rng, scheme.budget)
+        label, support_sentences, scheme.sub, rng)
         for label in labels}
 
 

@@ -16,7 +16,7 @@ from .autodiff import Tensor
 from .corpus import expand_tag_labels, surface_tag
 from .encoders import (LabelEncoderParams, LabelScheme, TokenEncoderParams,
                        encode_labels, encode_tokens, select_label_contexts)
-from .numeric import ParamGroup, init_contextualizer, token_cross_entropy
+from .numeric import ParamGroup, init_contextualizer, on_arrays, token_cross_entropy
 
 
 @dataclass
@@ -88,8 +88,7 @@ def taxonomy_hash(taxonomy):
 
 def init_model(vocab, taxonomy, dim=32, seed=0, token_ctx="self-attention",
                label_ctx="identity", label_pool=None, tie_embeddings=True,
-               caps_feature=True, lowercase=True, window=2,
-               static_table=None, config=None):
+               caps_feature=True, window=2, static_table=None, config=None):
     """Build a fresh ModelState.
 
     `label_pool` defaults to "first" for a learned label contextualizer
@@ -110,7 +109,7 @@ def init_model(vocab, taxonomy, dim=32, seed=0, token_ctx="self-attention",
         ctx_kind=token_ctx,
         ctx_params=init_contextualizer(token_ctx, dim, rng, prefix="tok"),
         caps=ParamGroup("caps", Tensor(np.zeros((4, dim)))) if caps_feature else None,
-        lowercase=lowercase, window=window)
+        window=window)
 
     if tie_embeddings:
         label_embedding = embedding
@@ -134,24 +133,22 @@ def init_model(vocab, taxonomy, dim=32, seed=0, token_ctx="self-attention",
     model.config.setdefault("label_pool", label_pool)
     model.config.setdefault("tie_embeddings", tie_embeddings)
     model.config.setdefault("caps_feature", caps_feature)
-    model.config.setdefault("lowercase", lowercase)
     model.config.setdefault("window", window)
     model.set_taxonomy(taxonomy)
     return model
 
 
 def score_tokens(e, b):
-    """Raw dot-product logits, T x L. No temperature, no bias."""
-    e_data = e.data if isinstance(e, Tensor) else np.asarray(e, dtype=float)
-    b_data = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=float)
-    if e_data.shape[1] != b_data.shape[1]:
+    """Raw dot-product logits, T x L. No temperature, no bias.
+
+    Takes two Tensors, or two plain arrays and returns an array.
+    """
+    if not isinstance(e, Tensor):
+        return on_arrays(score_tokens, e, b)
+    if e.data.shape[1] != b.data.shape[1]:
         raise ValueError(
-            f"dimension mismatch: tokens {e_data.shape} vs labels {b_data.shape}")
-    if isinstance(e, Tensor) or isinstance(b, Tensor):
-        et = e if isinstance(e, Tensor) else Tensor(e_data)
-        bt = b if isinstance(b, Tensor) else Tensor(b_data)
-        return ad.matmul(et, ad.transpose(bt))
-    return e_data @ b_data.T
+            f"dimension mismatch: tokens {e.data.shape} vs labels {b.data.shape}")
+    return ad.matmul(e, ad.transpose(b))
 
 
 def label_matrix(model, scheme=None, contexts=None):
@@ -170,11 +167,11 @@ def predict_tags(model, sentence, cache=None):
         if cache is not None:
             if cache.taxonomy_hash != taxonomy_hash(model.taxonomy):
                 raise ValueError("label cache does not match the current taxonomy")
-            b = cache.matrix
+            b = Tensor(cache.matrix)
         else:
-            b = label_matrix(model).data
-        e = encode_tokens(sentence, model.token_params, model.vocab).data
-    logits = e @ b.T
+            b = label_matrix(model)
+        e = encode_tokens(sentence, model.token_params, model.vocab)
+        logits = score_tokens(e, b).data
     picks = np.argmax(logits, axis=1)  # first max wins on ties
     return [surface_tag(model.tag_labels[i]) for i in picks]
 

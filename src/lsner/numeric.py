@@ -1,9 +1,10 @@
 """Dense numeric operations shared by both encoders.
 
-Functions accept either plain 2-D numpy arrays or autodiff Tensors and
-return the matching kind, so the same forward code serves training and
-plain-array unit checks. Tie-breaking is always lowest-index; softmax is
-always max-subtracted.
+Each operation has one implementation, on autodiff Tensors. A plain
+numpy array is also accepted: it is wrapped into a Tensor under
+`no_grad()` and the result comes back as an array (`on_arrays`), so the
+same forward code serves training and plain-array unit checks.
+Tie-breaking is always lowest-index; softmax is always max-subtracted.
 """
 
 import functools
@@ -41,8 +42,14 @@ class ParamGroup:
         self.tensor.zero_grad()
 
 
-def _as_tensor(m):
-    return m if isinstance(m, Tensor) else Tensor(np.asarray(m, dtype=float))
+def on_arrays(op, *arrays, **kwargs):
+    """Run Tensor op `op` on plain arrays without recording a tape.
+
+    Returns the result as a new array, or as a float when it is a scalar.
+    """
+    with ad.no_grad():
+        out = op(*(Tensor(np.asarray(a, dtype=float)) for a in arrays), **kwargs).data
+    return float(out) if out.ndim == 0 else out.copy()
 
 
 def _check_finite(data, what):
@@ -54,14 +61,10 @@ def _check_finite(data, what):
 
 def softmax_rows(m):
     """Row-wise stable softmax. Accepts a 2-D array or Tensor."""
-    if isinstance(m, Tensor):
-        _check_finite(m.data, "softmax_rows")
-        return ad.softmax_rows_t(m)
-    m = np.asarray(m, dtype=float)
-    _check_finite(m, "softmax_rows")
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    if not isinstance(m, Tensor):
+        return on_arrays(softmax_rows, m)
+    _check_finite(m.data, "softmax_rows")
+    return ad.softmax_rows_t(m)
 
 
 def token_cross_entropy(logits, gold):
@@ -69,35 +72,27 @@ def token_cross_entropy(logits, gold):
 
     logits is T x L (array or Tensor), gold a length-T index sequence.
     """
+    if not isinstance(logits, Tensor):
+        return on_arrays(token_cross_entropy, logits, gold=gold)
     gold = np.asarray(gold, dtype=np.intp)
-    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=float)
-    n_labels = data.shape[1]
-    if gold.shape != (data.shape[0],):
-        raise ValueError(f"gold length {gold.shape} does not match {data.shape[0]} tokens")
+    n_tokens, n_labels = logits.data.shape
+    if gold.shape != (n_tokens,):
+        raise ValueError(f"gold length {gold.shape} does not match {n_tokens} tokens")
     if gold.size and (gold.min() < 0 or gold.max() >= n_labels):
         raise ValueError(f"gold index out of range [0, {n_labels})")
-    if isinstance(logits, Tensor):
-        return ad.cross_entropy_rows(logits, gold)
-    shifted = data - data.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    return float(-(shifted[np.arange(len(gold)), gold] - logz).mean())
+    return ad.cross_entropy_rows(logits, gold)
 
 
 def pool_rows(m, strategy):
     """Collapse a T x d matrix to one d-vector: max, mean, or first row."""
+    if not isinstance(m, Tensor):
+        return on_arrays(pool_rows, m, strategy=strategy)
     if strategy not in POOL_STRATEGIES:
         raise ValueError(f"unknown pool strategy {strategy!r}")
-    data = m.data if isinstance(m, Tensor) else np.asarray(m, dtype=float)
-    if data.shape[0] < 1:
+    if m.data.shape[0] < 1:
         raise ValueError("pool_rows: zero rows")
-    if isinstance(m, Tensor):
-        op = {"max": ad.max_rows, "mean": ad.mean_rows, "first": ad.first_row}[strategy]
-        return op(m)
-    if strategy == "max":
-        return data.max(axis=0)
-    if strategy == "mean":
-        return data.mean(axis=0)
-    return data[0].copy()
+    op = {"max": ad.max_rows, "mean": ad.mean_rows, "first": ad.first_row}[strategy]
+    return op(m)
 
 
 @functools.lru_cache(maxsize=256)
@@ -157,35 +152,35 @@ def apply_contextualizer(x, params, kind, window=2):
     single-head scaled-dot-product layer with sinusoidal position addends
     and a residual connection.
     """
+    if not isinstance(x, Tensor):
+        return on_arrays(apply_contextualizer, x, params=params, kind=kind, window=window)
     if kind not in CONTEXTUALIZER_KINDS:
         raise ValueError(f"unknown contextualizer kind {kind!r}")
-    was_array = not isinstance(x, Tensor)
-    xt = _as_tensor(x)
-    t, d = xt.data.shape
+    t, d = x.data.shape
 
     if kind == "identity":
-        out = xt
+        out = x
     elif kind == "window-mixer":
         mix = params["mix"].tensor
         if mix.data.shape != (3 * d, d):
             raise ValueError(f"window-mixer expects mix of shape {(3 * d, d)}, got {mix.data.shape}")
         left_m, right_m = _window_average_matrices(t, window)
-        left = ad.matmul(Tensor(left_m), xt)
-        right = ad.matmul(Tensor(right_m), xt)
-        out = ad.matmul(ad.concat_cols([xt, left, right]), mix)
+        left = ad.matmul(Tensor(left_m), x)
+        right = ad.matmul(Tensor(right_m), x)
+        out = ad.matmul(ad.concat_cols([x, left, right]), mix)
     else:
         for name in ("wq", "wk", "wv", "wo"):
             if params[name].tensor.data.shape != (d, d):
                 raise ValueError(f"self-attention param {name} must be {(d, d)}")
-        pos = ad.add_const(xt, sinusoidal_positions(t, d))
+        pos = ad.add_const(x, sinusoidal_positions(t, d))
         q = ad.matmul(pos, params["wq"].tensor)
         k = ad.matmul(pos, params["wk"].tensor)
         v = ad.matmul(pos, params["wv"].tensor)
         scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d))
         attn = ad.softmax_rows_t(scores)
-        out = ad.add(xt, ad.matmul(ad.matmul(attn, v), params["wo"].tensor))
+        out = ad.add(x, ad.matmul(ad.matmul(attn, v), params["wo"].tensor))
 
-    return out.data.copy() if was_array else out
+    return out
 
 
 def check_gradients(loss_fn, groups, eps=1e-5, coords_per_group=200, rng=None):

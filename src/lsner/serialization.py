@@ -80,14 +80,17 @@ def load_checkpoint(path):
             arrays[name] = data
 
     cfg = header["config"]
+    # headers written while case-sensitive lookup was an option carry
+    # "lowercase"; every model now lowercases
+    if cfg.get("lowercase", True) is not True:
+        raise ValueError(f"{path}: case-sensitive checkpoints are not supported")
     vocab = Vocabulary(list(header["vocab"]))
     taxonomy = LabelTaxonomy([tuple(t) for t in header["taxonomy"]])
     model = init_model(
         vocab, taxonomy, dim=cfg["dim"], seed=header["seed"],
         token_ctx=cfg["token_ctx"], label_ctx=cfg["label_ctx"],
         label_pool=cfg["label_pool"], tie_embeddings=cfg["tie_embeddings"],
-        caps_feature=cfg["caps_feature"], lowercase=cfg["lowercase"],
-        window=cfg["window"], config=cfg)
+        caps_feature=cfg["caps_feature"], window=cfg["window"], config=cfg)
     by_name = {g.name: g for g in model.param_groups()}
     for name, data in arrays.items():
         target = by_name[name]

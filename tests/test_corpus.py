@@ -1,13 +1,16 @@
 """Corpus parsing, span extraction, tag repair and taxonomy transforms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsner.corpus import (CorpusError, Dataset, EntitySpan, LabelTaxonomy,
-                          Sentence, expand_tag_labels, extract_spans,
-                          filter_coarse_type, infer_natural_name, parse_conll,
+                          Sentence, conll_sentences, expand_tag_labels,
+                          extract_spans, filter_coarse_type, infer_natural_name,
+                          load_conll, load_taxonomy, parse_conll,
                           parse_taxonomy, rename_taxonomy, repair_bio,
                           serialize_conll, serialize_taxonomy, surface_tag)
 
@@ -79,6 +82,22 @@ class TestParseConll:
     def test_infer_natural_name(self):
         assert infer_natural_name("CREATIVE-WORK") == "creative work"
         assert infer_natural_name("Person/Actor") == "person actor"
+
+    def test_sentence_segmentation(self):
+        lines = ["-DOCSTART- -X- O\n", "\n", "a\n", "b B-PER\n", " \n", "\n",
+                 "-DOCSTART-\n", "c O\n"]
+        assert list(conll_sentences(lines)) == [
+            [(3, ["a"]), (4, ["b", "B-PER"])], [(8, ["c", "O"])]]
+
+    def test_load_errors_name_the_file(self, tmp_path):
+        corpus = tmp_path / "train.conll"
+        corpus.write_text("a O\njustonetoken\n")
+        with pytest.raises(CorpusError, match="^" + re.escape(f"{corpus}: line 2: expected")):
+            load_conll(corpus)
+        taxonomy = tmp_path / "tax.txt"
+        taxonomy.write_text("PER person\n")
+        with pytest.raises(CorpusError, match="^" + re.escape(f"{taxonomy}: taxonomy line 1")):
+            load_taxonomy(taxonomy)
 
 
 class TestSentenceValidation:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lsner.corpus import LabelTaxonomy, Sentence, expand_tag_labels
-from lsner.encoders import (MASK_TOKEN, PAD_TOKEN, UNK_TOKEN, LabelScheme,
-                            Vocabulary, build_contextual_label_inputs,
+from lsner.encoders import (CONTEXT_BUDGET, MASK_TOKEN, PAD_TOKEN, UNK_TOKEN,
+                            LabelScheme, Vocabulary, build_contextual_label_inputs,
                             build_vocabulary, case_index, encode_labels,
                             encode_tokens, load_static_vectors,
                             select_label_contexts)
@@ -55,7 +55,6 @@ class TestLabelScheme:
         s = LabelScheme.parse("contextual:BIOTAG_COLON_MASK")
         assert (s.kind, s.sub) == ("contextual", "BIOTAG_COLON_MASK")
         assert str(s) == "contextual:BIOTAG_COLON_MASK"
-        assert s.budget == 10
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
@@ -158,7 +157,8 @@ class TestContextualLabelInputs:
     def test_budget_caps_sentence_count(self):
         sents = [FOOTBALL] * 25
         out = build_contextual_label_inputs(
-            self.label(), sents, "LABEL", np.random.default_rng(1), budget=10)
+            self.label(), sents, "LABEL", np.random.default_rng(1))
+        assert CONTEXT_BUDGET == 10
         assert len(out) == 10
 
     def test_other_label_gets_no_contexts(self):

@@ -49,6 +49,23 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="not a checkpoint"):
             load_checkpoint(path)
 
+    def test_lowercase_key_from_older_headers_round_trips(self, trained_model,
+                                                         tmp_path):
+        trained_model.config["lowercase"] = True
+        first = tmp_path / "a.ckpt"
+        second = tmp_path / "b.ckpt"
+        save_checkpoint(trained_model, first)
+        save_checkpoint(load_checkpoint(first), second)
+        assert b'"lowercase":true' in first.read_bytes()
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_case_sensitive_checkpoint_rejected(self, trained_model, tmp_path):
+        trained_model.config["lowercase"] = False
+        path = tmp_path / "cased.ckpt"
+        save_checkpoint(trained_model, path)
+        with pytest.raises(ValueError, match="cased.ckpt: case-sensitive"):
+            load_checkpoint(path)
+
     def test_wrong_version_rejected(self, trained_model, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(trained_model, path)
