@@ -3,6 +3,13 @@
 Every Tensor holds float64 data; checkpoints and gradient checks assume
 it. The tape is built eagerly; `no_grad()` disables recording for
 inference passes.
+
+A gradient is a dense array of the Tensor's shape, made by copying the
+first contribution and added into in place after that. A table read
+through `take_rows` also gets a dense gradient, created once per
+backward pass; each call sums the gradient of a repeated row first and
+then adds one sum per touched row, so the work per call follows the rows
+read, not the table size.
 """
 
 import contextlib
@@ -80,8 +87,11 @@ class Tensor:
 
 def _accum(t, g):
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # always C order: a copy of a transposed view kept in its own order
+        # would later reach BLAS as a differently laid-out operand
+        t.grad = np.array(g, dtype=float, order="C")
+    else:
+        t.grad += g
 
 
 def add(a, b):
@@ -152,9 +162,19 @@ def take_rows(a, idx):
     idx = np.asarray(idx, dtype=np.intp)
 
     def bwd(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
-        _accum(a, buf)
+        # one slot per distinct row, in order of first appearance; a
+        # repeated row's gradients are summed in index order first
+        slots = {}
+        inv = [slots.setdefault(r, len(slots)) for r in idx.tolist()]
+        if len(slots) == len(inv):
+            rows, sums = idx, g
+        else:
+            rows = np.fromiter(slots, dtype=np.intp, count=len(slots))
+            sums = np.zeros((len(slots),) + g.shape[1:])
+            np.add.at(sums, inv, g)
+        if a.grad is None:
+            a.grad = np.zeros(a.data.shape)
+        a.grad[rows] += sums
 
     return Tensor(a.data[idx], (a,), bwd)
 
@@ -192,7 +212,7 @@ def mean_rows(a):
     n = a.data.shape[0]
 
     def bwd(g):
-        _accum(a, np.broadcast_to(g / n, a.data.shape).copy())
+        _accum(a, np.broadcast_to(g / n, a.data.shape))
 
     return Tensor(a.data.mean(axis=0), (a,), bwd)
 
@@ -220,7 +240,7 @@ def first_row(a):
 
 def sum_all(a):
     def bwd(g):
-        _accum(a, np.full_like(a.data, float(g)))
+        _accum(a, np.broadcast_to(float(g), a.data.shape))
 
     return Tensor(a.data.sum(), (a,), bwd)
 

@@ -47,11 +47,14 @@ class ModelState:
     tag_labels: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
     seed: int = 0
+    taxonomy_digest: str = field(default=None, init=False, repr=False)
 
     def set_taxonomy(self, taxonomy):
-        """Rebuild the tagging-label list; no parameter is touched."""
+        """Rebuild the tagging-label list and the taxonomy digest that label
+        caches are checked against; no parameter is touched."""
         self.taxonomy = taxonomy
         self.tag_labels = expand_tag_labels(taxonomy)
+        self.taxonomy_digest = taxonomy_hash(taxonomy)
 
     def param_groups(self):
         """All trainable groups, deduplicated (embedding may be tied)."""
@@ -165,7 +168,7 @@ def predict_tags(model, sentence, cache=None):
     """
     with ad.no_grad():
         if cache is not None:
-            if cache.taxonomy_hash != taxonomy_hash(model.taxonomy):
+            if cache.taxonomy_hash != model.taxonomy_digest:
                 raise ValueError("label cache does not match the current taxonomy")
             b = Tensor(cache.matrix)
         else:
@@ -190,6 +193,11 @@ def sentence_loss(model, sentence, labels=None, scheme=None, contexts=None):
     return token_cross_entropy(logits, gold_indices(sentence, model.tag_labels))
 
 
+# Adam updates a group in row blocks of about this many float64 values
+# (256 KB), so a block's moments, gradient and temporaries stay in cache
+ADAM_BLOCK_VALUES = 1 << 15
+
+
 class Adam:
     """Bias-corrected adaptive-moment optimizer over ParamGroups."""
 
@@ -207,16 +215,45 @@ class Adam:
             g.zero_grad()
 
     def step(self):
+        """One dense update of every group that has a gradient.
+
+        Runs in place over row blocks of about ADAM_BLOCK_VALUES values,
+        so each array is streamed once; every element goes through the
+        same operations in the same order as the textbook expression.
+        """
         self.t += 1
-        for i, g in enumerate(self.groups):
+        b1, b2, lr, eps = self.b1, self.b2, self.lr, self.eps
+        c1 = 1 - b1 ** self.t
+        c2 = 1 - b2 ** self.t
+        for g, m, v in zip(self.groups, self.m, self.v):
             grad = g.grad
             if grad is None:
                 continue
-            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * grad
-            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * grad * grad
-            mhat = self.m[i] / (1 - self.b1 ** self.t)
-            vhat = self.v[i] / (1 - self.b2 ** self.t)
-            g.tensor.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            data = g.tensor.data
+            rows = max(1, ADAM_BLOCK_VALUES // data[0].size)
+            num = np.empty_like(data[:rows])
+            den = np.empty_like(num)
+            for lo in range(0, len(data), rows):
+                blk = slice(lo, lo + rows)
+                gb, mb, vb, db = grad[blk], m[blk], v[blk], data[blk]
+                tn, td = num[:len(gb)], den[:len(gb)]
+                # m = b1*m + (1-b1)*g
+                np.multiply(gb, 1 - b1, out=tn)
+                mb *= b1
+                mb += tn
+                # v = b2*v + ((1-b2)*g)*g
+                np.multiply(gb, 1 - b2, out=tn)
+                tn *= gb
+                vb *= b2
+                vb += tn
+                # data -= (lr*mhat) / (sqrt(vhat) + eps)
+                np.divide(mb, c1, out=tn)
+                tn *= lr
+                np.divide(vb, c2, out=td)
+                np.sqrt(td, out=td)
+                td += eps
+                tn /= td
+                db -= tn
 
 
 def train_stage(model, dataset, config, stage="finetune", support_sentences=None,
@@ -295,5 +332,5 @@ def build_label_cache(model, scheme=None, contexts=None, meta=None):
     """Freeze the current label representations for cached inference."""
     with ad.no_grad():
         matrix = label_matrix(model, scheme=scheme, contexts=contexts).data.copy()
-    return LabelCache(taxonomy_hash(model.taxonomy), matrix,
+    return LabelCache(model.taxonomy_digest, matrix,
                       dict(meta or {"seed": model.seed}))

@@ -3,18 +3,60 @@
 import numpy as np
 import pytest
 
+from lsner import autodiff as ad
 from lsner.corpus import LabelTaxonomy, Sentence, rename_taxonomy
 from lsner.encoders import build_vocabulary
-from lsner.matcher import (Adam, TrainingConfig, build_label_cache,
-                           gold_indices, init_model, label_matrix,
-                           predict_tags, score_tokens, sentence_loss,
-                           taxonomy_hash, train_stage, run_two_stage)
+from lsner.matcher import (ADAM_BLOCK_VALUES, Adam, TrainingConfig,
+                           build_label_cache, gold_indices, init_model,
+                           label_matrix, predict_tags, score_tokens,
+                           sentence_loss, taxonomy_hash, train_stage,
+                           run_two_stage)
 from lsner.numeric import ParamGroup
 from lsner.autodiff import Tensor
 
 
 def param_bytes(model):
     return b"".join(g.values.tobytes() for g in model.param_groups())
+
+
+# Dense reference kernels: every gradient starts as zeros, every gather
+# builds a full-table buffer, and Adam makes a new array per expression.
+# The shipped kernels must reproduce their results bit for bit.
+
+def dense_accum(t, g):
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad += g
+
+
+def dense_take_rows(a, idx):
+    idx = np.asarray(idx, dtype=np.intp)
+
+    def bwd(g):
+        buf = np.zeros_like(a.data)
+        np.add.at(buf, idx, g)
+        dense_accum(a, buf)
+
+    return Tensor(a.data[idx], (a,), bwd)
+
+
+def dense_adam_update(data, m, v, grad, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam update in textbook expression order; returns new m and v."""
+    m = b1 * m + (1 - b1) * grad
+    v = b2 * v + (1 - b2) * grad * grad
+    mhat = m / (1 - b1 ** t)
+    vhat = v / (1 - b2 ** t)
+    data -= lr * mhat / (np.sqrt(vhat) + eps)
+    return m, v
+
+
+def dense_adam_step(opt):
+    opt.t += 1
+    for i, g in enumerate(opt.groups):
+        if g.grad is not None:
+            opt.m[i], opt.v[i] = dense_adam_update(
+                g.tensor.data, opt.m[i], opt.v[i], g.grad, opt.t, opt.lr,
+                opt.b1, opt.b2, opt.eps)
 
 
 class TestScoring:
@@ -65,20 +107,22 @@ class TestPrediction:
 
 
 class TestAdam:
-    def test_matches_reference_updates(self):
-        g = ParamGroup("w", Tensor(np.array([[1.0, -2.0]])))
+    # a group taller than one block whose rows do not fill the last block
+    TALL = (2 * (ADAM_BLOCK_VALUES // 3) + 5, 3)
+
+    @pytest.mark.parametrize("shape", [(1, 2), TALL], ids=["1x2", "multi-block"])
+    def test_matches_reference_updates(self, shape):
+        rng = np.random.default_rng(0)
+        g = ParamGroup("w", Tensor(rng.normal(size=shape)))
         opt = Adam([g], lr=0.1)
-        m = v = np.zeros(2)
-        ref = np.array([1.0, -2.0])
+        ref = g.values.copy()
+        m = v = np.zeros(shape)
         for t in range(1, 4):
-            grad = np.array([0.5, -1.0]) * t
-            g.tensor.grad = grad.reshape(1, 2).copy()
+            grad = rng.normal(size=shape) * t
+            g.tensor.grad = grad.copy()
             opt.step()
-            m = 0.9 * m + 0.1 * grad
-            v = 0.999 * v + 0.001 * grad * grad
-            ref -= 0.1 * (m / (1 - 0.9 ** t)) / (
-                np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
-            np.testing.assert_allclose(g.values[0], ref, rtol=1e-12)
+            m, v = dense_adam_update(ref, m, v, grad, t, lr=0.1)
+            np.testing.assert_array_equal(g.values, ref)
 
     def test_skips_groups_without_gradients(self):
         g = ParamGroup("w", Tensor(np.ones((1, 1))))
@@ -118,6 +162,25 @@ class TestTrainStage:
             train_stage(m, tiny_dataset, TrainingConfig(finetune_epochs=3, seed=1))
             results.append(param_bytes(m))
         assert results[0] == results[1]
+
+    def test_kernels_match_dense_reference_bitwise(self, tiny_dataset, monkeypatch):
+        # at dim 32 a gradient copied in Fortran order changes BLAS results
+        def train():
+            vocab = build_vocabulary(tiny_dataset.sentences,
+                                     extra_tokens=["begin", "inside", "other",
+                                                   "person", "location"])
+            m = init_model(vocab, tiny_dataset.taxonomy, dim=32, seed=5,
+                           token_ctx="self-attention", tie_embeddings=True,
+                           caps_feature=True)
+            trace = train_stage(m, tiny_dataset, TrainingConfig(
+                finetune_epochs=20, batch_size=2, seed=2))
+            return param_bytes(m), trace
+
+        shipped = train()
+        monkeypatch.setattr(ad, "_accum", dense_accum)
+        monkeypatch.setattr(ad, "take_rows", dense_take_rows)
+        monkeypatch.setattr(Adam, "step", dense_adam_step)
+        assert train() == shipped
 
     def test_loss_decreases(self, tiny_dataset):
         vocab = build_vocabulary(tiny_dataset.sentences,
@@ -201,6 +264,22 @@ class TestLabelCache:
         small_model.set_taxonomy(renamed)
         with pytest.raises(ValueError, match="cache"):
             predict_tags(small_model, Sentence(["a"], ["O"]), cache=cache)
+
+    def test_digest_follows_set_taxonomy(self, small_model):
+        sentence = Sentence(["a"], ["O"])
+        original = small_model.taxonomy
+        old = build_label_cache(small_model)
+        assert old.taxonomy_hash == taxonomy_hash(original)
+        small_model.set_taxonomy(rename_taxonomy(original, "meaningless"))
+        with pytest.raises(ValueError, match="cache"):
+            predict_tags(small_model, sentence, cache=old)
+        new = build_label_cache(small_model)
+        assert new.taxonomy_hash == taxonomy_hash(small_model.taxonomy)
+        predict_tags(small_model, sentence, cache=new)
+        small_model.set_taxonomy(original)
+        predict_tags(small_model, sentence, cache=old)
+        with pytest.raises(ValueError, match="cache"):
+            predict_tags(small_model, sentence, cache=new)
 
     def test_taxonomy_hash_tracks_naming(self, two_type_taxonomy):
         h1 = taxonomy_hash(two_type_taxonomy)

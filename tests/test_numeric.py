@@ -200,22 +200,44 @@ class TestGradientCheck:
         assert worst < 1e-8
 
     def test_composite_ops_pass(self):
-        # exercises take_rows, concat_cols, softmax, stack/mean/first rows
+        # exercises take_rows (a repeated row, two gathers from one table),
+        # concat_cols, softmax, stack/mean/first rows
         rng = np.random.default_rng(9)
         emb = ParamGroup("emb", Tensor(rng.normal(size=(5, 4))))
         proj = ParamGroup("proj", Tensor(rng.normal(size=(8, 4))))
 
         def loss():
-            rows = ad.take_rows(emb.tensor, [0, 2, 4])
-            both = ad.concat_cols([rows, rows])
+            rows = ad.take_rows(emb.tensor, [0, 2, 2, 4])
+            again = ad.take_rows(emb.tensor, [4, 1, 3, 4])
+            both = ad.concat_cols([rows, again])
             h = ad.matmul(both, proj.tensor)
             lab = ad.stack_rows([ad.mean_rows(h), ad.first_row(h),
                                  ad.max_rows(h)])
             logits = ad.matmul(h, ad.transpose(lab))
-            return ad.cross_entropy_rows(logits, [0, 1, 2])
+            return ad.cross_entropy_rows(logits, [0, 1, 2, 1])
 
         worst = check_gradients(loss, [emb, proj], eps=1e-6, rng=rng)
         assert worst < 1e-6
+
+    @pytest.mark.parametrize("idx", [[3, 1, 3, 3, 0], [2, 0, 5]],
+                             ids=["repeated-rows", "distinct-rows"])
+    @pytest.mark.parametrize("prior", [False, True], ids=["no-grad", "nonzero-grad"])
+    def test_take_rows_backward_matches_dense_reference(self, idx, prior):
+        rng = np.random.default_rng(4)
+        table = Tensor(rng.normal(size=(6, 8)))
+        # a larger prior makes the order of additions show in the last bits
+        start = rng.normal(size=(6, 8)) * 10
+        g = rng.normal(size=(len(idx), 8))
+        if prior:
+            table.grad = start.copy()
+        ad.sum_all(ad.mul(ad.take_rows(table, idx), Tensor(g))).backward()
+
+        # reference: a zero buffer of the table's shape filled by np.add.at
+        buf = np.zeros_like(table.data)
+        np.add.at(buf, idx, g)
+        expected = start.copy() if prior else np.zeros_like(table.data)
+        expected += buf
+        np.testing.assert_array_equal(table.grad, expected)
 
     def test_rejects_nonpositive_eps(self):
         w = ParamGroup("w", Tensor(np.ones((1, 1))))
