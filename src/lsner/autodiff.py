@@ -5,11 +5,11 @@ it. The tape is built eagerly; `no_grad()` disables recording for
 inference passes.
 
 A gradient is a dense array of the Tensor's shape, made by copying the
-first contribution and added into in place after that. A table read
-through `take_rows` also gets a dense gradient, created once per
-backward pass; each call sums the gradient of a repeated row first and
-then adds one sum per touched row, so the work per call follows the rows
-read, not the table size.
+first contribution (or adopting one an op built fresh) and added into in
+place after that. A table read through `take_rows` also gets a dense
+gradient, created once per backward pass; each call sums the gradient of
+a repeated row first and then adds one sum per touched row, so the work
+per call follows the rows read, not the table size.
 """
 
 import contextlib
@@ -85,11 +85,12 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-def _accum(t, g):
+def _accum(t, g, fresh=False):
     if t.grad is None:
         # always C order: a copy of a transposed view kept in its own order
-        # would later reach BLAS as a differently laid-out operand
-        t.grad = np.array(g, dtype=float, order="C")
+        # would later reach BLAS as a differently laid-out operand. A `fresh`
+        # g (new, C order, held by no one else) is adopted uncopied.
+        t.grad = g if fresh else np.array(g, dtype=float, order="C")
     else:
         t.grad += g
 
@@ -222,18 +223,18 @@ def max_rows(a):
     which = np.argmax(a.data, axis=0)
 
     def bwd(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(a.data.shape)  # C order even when a is a transposed view
         buf[which, np.arange(a.data.shape[1])] = g
-        _accum(a, buf)
+        _accum(a, buf, fresh=True)
 
     return Tensor(a.data[which, np.arange(a.data.shape[1])], (a,), bwd)
 
 
 def first_row(a):
     def bwd(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(a.data.shape)  # C order even when a is a transposed view
         buf[0] = g
-        _accum(a, buf)
+        _accum(a, buf, fresh=True)
 
     return Tensor(a.data[0], (a,), bwd)
 

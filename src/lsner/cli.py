@@ -1,13 +1,14 @@
 """Experiment driver: sampling, training, evaluation, caching, prediction.
 
-Configuration is a flat ``key = value`` text file; the keys that have a
-flag (see `build_parser`) can be overridden on the command line (flags
-win). Run i of a command uses base_seed + i for sampling and
-base_seed + 10000 + i for training, so the two are independently
-reproducible.
+`sample`, `train` and `eval` read one `RunConfig`: defaults, then a flat
+``key = value`` file (``--config``), then one flag per key (flags win),
+all checked before any corpus loads. Run i of a command uses
+base_seed + i for sampling and base_seed + 10000 + i for training, so
+the two are independently reproducible.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -16,11 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import (Sentence, conll_sentences, load_conll, load_taxonomy,
-                     rename_taxonomy)
-from .encoders import build_vocabulary, load_static_vectors
+from .corpus import (RENAME_MODES, Sentence, conll_sentences, load_conll,
+                     load_taxonomy, rename_taxonomy)
+from .encoders import LabelScheme, build_vocabulary, load_static_vectors
 from .evaluation import aggregate_runs, evaluate_dataset, result_record
 from .matcher import TrainingConfig, build_label_cache, init_model, predict_tags, run_two_stage
+from .numeric import CONTEXTUALIZER_KINDS
 from .sampler import (load_support, sample_support, serialize_support,
                       support_dataset, verify_kshot)
 from .serialization import (load_checkpoint, load_label_cache,
@@ -34,8 +36,8 @@ class CliError(RuntimeError):
     pass
 
 
-def read_config(path):
-    cfg = {}
+def config_entries(path):
+    """Yield (line number, key, value) for each ``key = value`` line."""
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.split("#", 1)[0].strip()
@@ -44,44 +46,109 @@ def read_config(path):
             if "=" not in line:
                 raise CliError(f"{path}:{lineno}: expected key = value")
             key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
-    return cfg
+            yield lineno, key.strip(), value.strip()
 
 
-DEFAULTS = {
-    "k": "1", "repeats": "10", "base_seed": "0", "dim": "32",
-    "lr": "1e-3", "batch_size": "10", "prefinetune_epochs": "3",
-    "finetune_epochs": "200", "scheme": "name", "rename": "original",
-    "tie_embeddings": "true", "caps_feature": "true",
-    "token_ctx": "self-attention", "label_ctx": "identity",
-    "min_freq": "1", "eval_split": "test",
-}
+def read_config(path):
+    return {key: value for _, key, value in config_entries(path)}
 
 
-def merged_config(args):
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(read_config(args.config))
-    for key in ("k", "repeats", "base_seed", "out", "scheme", "rename",
-                "rename_map", "static_vectors", "tie_embeddings", "seed",
-                "eval_split", "finetune_epochs", "prefinetune_epochs"):
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            cfg[key] = str(value)
-    if getattr(args, "no_prefinetune", False):
-        cfg["prefinetune_epochs"] = "0"
-        cfg["no_prefinetune"] = "true"
-    if getattr(args, "seed", None) is not None:
-        cfg["base_seed"] = str(args.seed)
-    return cfg
+def _one_of(*choices):
+    def check(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+    return check
 
 
-def _bool(value):
-    return str(value).lower() in ("1", "true", "yes", "on")
+def _check_rename(mode):
+    if not mode.startswith("map:"):
+        _one_of(*(m for m in RENAME_MODES if m != "custom"), "map:<file>")(mode)
 
 
-def _k_list(cfg):
-    return [int(x) for x in str(cfg["k"]).replace(",", " ").split()]
+def _key(default, check=None, flag=None):
+    return dataclasses.field(default=default, metadata={"check": check, "flag": flag})
+
+
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """Every key `sample`, `train` and `eval` read; README lists them all."""
+
+    source_corpus: str = None
+    source_taxonomy: str = None
+    target_train: str = None
+    target_dev: str = None
+    target_test: str = None
+    taxonomy: str = None
+    static_vectors: str = None
+    out: str = None
+    k: tuple = (1,)
+    repeats: int = 10
+    base_seed: int = _key(0, flag="--seed")
+    dim: int = 32
+    lr: float = _key(1e-3, lambda v: TrainingConfig(learning_rate=v))
+    batch_size: int = _key(10, lambda v: TrainingConfig(batch_size=v))
+    prefinetune_epochs: int = _key(3, lambda v: TrainingConfig(prefinetune_epochs=v))
+    finetune_epochs: int = _key(200, lambda v: TrainingConfig(finetune_epochs=v))
+    no_prefinetune: bool = False  # true forces prefinetune_epochs = 0
+    scheme: str = _key("name", LabelScheme.parse)
+    rename: str = _key("original", _check_rename)
+    tie_embeddings: bool = True
+    caps_feature: bool = True
+    token_ctx: str = _key("self-attention", _one_of(*CONTEXTUALIZER_KINDS))
+    label_ctx: str = _key("identity", _one_of(*CONTEXTUALIZER_KINDS))
+    min_freq: int = 1
+    eval_split: str = _key("test", _one_of("dev", "test"))
+
+    def record(self):
+        """Each set key in the text form a config file gives it."""
+        return {f.name: _TYPES[f.type][1](getattr(self, f.name))
+                for f in dataclasses.fields(self) if getattr(self, f.name) is not None}
+
+
+def _ints(text):
+    """One or more integers, separated by spaces or commas."""
+    return tuple(int(x) for x in text.replace(",", " ").split() or [text])
+
+
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
+_TYPES = {  # field type -> (text to value, value to text, what the text must be)
+    int: (int, str, "an integer"), float: (float, str, "a number"), str: (str, str, "text"),
+    bool: (lambda text: _BOOLS[text.lower()], lambda v: str(v).lower(), "true or false"),
+    tuple: (_ints, lambda v: " ".join(map(str, v)), "integers")}
+
+
+def _parse(f, text):
+    if f is None:
+        raise ValueError("unknown key")
+    parse, _, expected = _TYPES[f.type]
+    try:
+        value = parse(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"expected {expected}, got {text!r}") from None
+    if f.metadata.get("check"):
+        f.metadata["check"](value)
+    return value
+
+
+def parse_run_config(args):
+    """Defaults, then the ``--config`` file, then flags, as a RunConfig."""
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    entries = config_entries(args.config) if args.config else ()
+    texts = {key: (f"{args.config}:{n}", text) for n, key, text in entries}
+    texts.update((f.name, ("command line", getattr(args, f.name)))
+                 for f in fields.values() if getattr(args, f.name) is not None)
+    values = {}
+    for key, (where, text) in texts.items():
+        try:
+            values[key] = _parse(fields.get(key), text)
+        except ValueError as exc:
+            raise CliError(f"{where}: {key}: {exc}") from None
+    if values.get("no_prefinetune"):
+        values["prefinetune_epochs"] = 0
+    if values.get("out") is None:
+        raise CliError(f"{args.config or 'command line'}: out: missing (key or --out)")
+    return RunConfig(**values)
 
 
 def sha256_file(path):
@@ -92,62 +159,50 @@ def sha256_file(path):
     return h.hexdigest()
 
 
-def write_manifest(out_dir, command, cfg, seeds, inputs, outputs):
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "config": cfg,
-        "seeds": seeds,
-        "inputs": {str(p): sha256_file(p) for p in inputs if Path(p).exists()},
-        "outputs": {str(p): sha256_file(p) for p in outputs if Path(p).exists()},
-    }
-    path = Path(out_dir) / f"manifest_{command}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
+def _finish(out_dir, command, cfg, seeds, inputs, outputs, failures):
+    """Write failures.txt (if any run failed) and the manifest; return the exit code."""
+    if failures:
+        (out_dir / "failures.txt").write_text("\n".join(failures) + "\n", encoding="utf-8")
+        print("\n".join(f"FAILED {f}" for f in failures), file=sys.stderr)
+    digests = [{str(p): sha256_file(p) for p in paths if p is not None and Path(p).exists()}
+               for paths in (inputs, outputs)]
+    manifest = {"command": command, "version": __version__, "config": cfg.record(),
+                "seeds": seeds, "inputs": digests[0], "outputs": digests[1]}
+    (out_dir / f"manifest_{command}.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return 1 if failures else 0
 
 
 def _load_target(cfg, split="train"):
-    key = {"train": "target_train", "dev": "target_dev", "test": "target_test"}[split]
-    if key not in cfg:
-        raise CliError(f"config is missing {key}")
-    taxonomy = load_taxonomy(cfg["taxonomy"]) if "taxonomy" in cfg else None
-    return load_conll(cfg[key], taxonomy=taxonomy)
+    path = getattr(cfg, f"target_{split}")
+    if path is None:
+        raise CliError(f"config is missing target_{split}")
+    taxonomy = load_taxonomy(cfg.taxonomy) if cfg.taxonomy is not None else None
+    return load_conll(path, taxonomy=taxonomy)
 
 
 def _target_taxonomy(cfg, run_index=0):
     """Target taxonomy after the configured rename mode."""
-    base = (load_taxonomy(cfg["taxonomy"]) if "taxonomy" in cfg
+    base = (load_taxonomy(cfg.taxonomy) if cfg.taxonomy is not None
             else _load_target(cfg, "train").taxonomy)
-    mode = cfg.get("rename", "original")
-    if mode.startswith("map:"):
-        cfg = dict(cfg, rename_map=mode[4:])
-        mode = "custom"
-    if mode == "custom":
-        mapping = {o: n for o, n in load_taxonomy(cfg["rename_map"]).types}
+    if cfg.rename.startswith("map:"):
+        mapping = dict(load_taxonomy(cfg.rename[4:]).types)  # "map:<file>"
         return rename_taxonomy(base, "custom", mapping=mapping)
-    rng = np.random.default_rng(int(cfg["base_seed"]) + RENAME_SEED_OFFSET + run_index)
-    return rename_taxonomy(base, mode, rng=rng)
+    rng = np.random.default_rng(cfg.base_seed + RENAME_SEED_OFFSET + run_index)
+    return rename_taxonomy(base, cfg.rename, rng=rng)
 
 
-def cmd_sample(args):
-    cfg = merged_config(args)
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_sample(cfg, args):
+    out_dir = Path(cfg.out)
     target = _load_target(cfg, "train")
-    base_seed = int(cfg["base_seed"])
-    repeats = int(cfg["repeats"])
 
-    outputs = []
-    stats_rows = []
-    failures = []
-    for k in _k_list(cfg):
+    outputs, stats_rows, failures = [], [], []
+    for k in cfg.k:
         sizes = []
-        for i in range(repeats):
-            seed = base_seed + i
+        for i in range(cfg.repeats):
+            seed = cfg.base_seed + i
             try:
-                rng = np.random.default_rng(seed)
-                support = sample_support(target, k, rng)
+                support = sample_support(target, k, np.random.default_rng(seed))
                 support.seed = seed
                 verdict = verify_kshot(target, support, k)
                 if not verdict.ok:
@@ -167,12 +222,10 @@ def cmd_sample(args):
     stats = out_dir / "sample_stats.txt"
     stats.write_text("\n".join(stats_rows) + "\n", encoding="utf-8")
     outputs.append(stats)
-    _flush_failures(out_dir, failures)
-    write_manifest(out_dir, "sample", cfg,
-                   {"base_seed": base_seed, "repeats": repeats},
-                   [cfg.get("target_train"), cfg.get("taxonomy")], outputs)
     print(stats.read_text(), end="")
-    return 1 if failures else 0
+    return _finish(out_dir, "sample", cfg,
+                   {"base_seed": cfg.base_seed, "repeats": cfg.repeats},
+                   [cfg.target_train, cfg.taxonomy], outputs, failures)
 
 
 def _build_model_for_run(cfg, source, target, taxonomy, train_seed):
@@ -181,43 +234,33 @@ def _build_model_for_run(cfg, source, target, taxonomy, train_seed):
         for _, natural in tax.types:
             extra.extend(natural.split())
     sentences = (source.sentences if source else []) + target.sentences
-    vocab = build_vocabulary(sentences, min_freq=int(cfg["min_freq"]),
-                             extra_tokens=extra)
+    vocab = build_vocabulary(sentences, min_freq=cfg.min_freq, extra_tokens=extra)
     static_table = None
-    if cfg.get("static_vectors"):
+    if cfg.static_vectors:
         rng = np.random.default_rng(train_seed)
-        static_table, coverage = load_static_vectors(
-            cfg["static_vectors"], vocab, int(cfg["dim"]), rng)
+        static_table, coverage = load_static_vectors(cfg.static_vectors, vocab, cfg.dim, rng)
         print(f"static vector coverage: {coverage:.3f}")
-    return init_model(vocab, taxonomy, dim=int(cfg["dim"]), seed=train_seed,
-                      token_ctx=cfg["token_ctx"], label_ctx=cfg["label_ctx"],
-                      tie_embeddings=_bool(cfg["tie_embeddings"]),
-                      caps_feature=_bool(cfg["caps_feature"]),
-                      static_table=static_table)
+    return init_model(vocab, taxonomy, dim=cfg.dim, seed=train_seed,
+                      token_ctx=cfg.token_ctx, label_ctx=cfg.label_ctx,
+                      tie_embeddings=cfg.tie_embeddings,
+                      caps_feature=cfg.caps_feature, static_table=static_table)
 
 
-def cmd_train(args):
-    cfg = merged_config(args)
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base_seed = int(cfg["base_seed"])
-    repeats = int(cfg["repeats"])
-    prefinetune = int(cfg["prefinetune_epochs"]) > 0 and "source_corpus" in cfg
-
+def cmd_train(cfg, args):
+    out_dir = Path(cfg.out)
     source = None
-    if prefinetune:
-        source_tax = (load_taxonomy(cfg["source_taxonomy"])
-                      if "source_taxonomy" in cfg else None)
-        source = load_conll(cfg["source_corpus"], taxonomy=source_tax)
+    if cfg.prefinetune_epochs > 0 and cfg.source_corpus is not None:
+        source_tax = (load_taxonomy(cfg.source_taxonomy)
+                      if cfg.source_taxonomy is not None else None)
+        source = load_conll(cfg.source_corpus, taxonomy=source_tax)
         source.role = "source"
     target = _load_target(cfg, "train")
 
-    outputs = []
-    failures = []
-    for k in _k_list(cfg):
-        for i in range(repeats):
-            sample_seed = base_seed + i
-            train_seed = base_seed + TRAIN_SEED_OFFSET + i
+    outputs, failures = [], []
+    for k in cfg.k:
+        for i in range(cfg.repeats):
+            sample_seed = cfg.base_seed + i
+            train_seed = cfg.base_seed + TRAIN_SEED_OFFSET + i
             try:
                 support_path = out_dir / f"support_k{k}_run{i}.txt"
                 if support_path.exists():
@@ -227,74 +270,53 @@ def cmd_train(args):
                     support.seed = sample_seed
                     support_path.write_text(serialize_support(support), encoding="utf-8")
                     outputs.append(support_path)
-
                 taxonomy = _target_taxonomy(cfg, run_index=i)
-                renamed_target = type(target)(target.name, target.sentences,
-                                              taxonomy, role=target.role)
-                model = _build_model_for_run(cfg, source, target, taxonomy,
-                                             train_seed)
+                renamed_target = dataclasses.replace(target, taxonomy=taxonomy)
+                model = _build_model_for_run(cfg, source, target, taxonomy, train_seed)
                 tconf = TrainingConfig(
-                    learning_rate=float(cfg["lr"]),
-                    batch_size=int(cfg["batch_size"]),
-                    prefinetune_epochs=int(cfg["prefinetune_epochs"]),
-                    finetune_epochs=int(cfg["finetune_epochs"]),
-                    seed=train_seed, scheme=cfg["scheme"])
-                _, traces = run_two_stage(
+                    learning_rate=cfg.lr, batch_size=cfg.batch_size, seed=train_seed,
+                    prefinetune_epochs=cfg.prefinetune_epochs,
+                    finetune_epochs=cfg.finetune_epochs, scheme=cfg.scheme)
+                traces = run_two_stage(
                     model, source, support_dataset(renamed_target, support), tconf)
-
                 ckpt = out_dir / f"model_k{k}_run{i}.ckpt"
                 save_checkpoint(model, ckpt)
                 outputs.append(ckpt)
                 trace_path = out_dir / f"loss_k{k}_run{i}.txt"
-                lines = []
-                for stage, trace in traces.items():
-                    lines += [f"{stage} epoch={e} loss={v:.6f}"
-                              for e, v in enumerate(trace)]
+                lines = [f"{stage} epoch={e} loss={v:.6f}"
+                         for stage, trace in traces.items() for e, v in enumerate(trace)]
                 trace_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
                 outputs.append(trace_path)
             except Exception as exc:
                 failures.append(f"k={k} run={i}: {exc}")
 
-    _flush_failures(out_dir, failures)
-    inputs = [cfg.get("source_corpus"), cfg.get("target_train"),
-              cfg.get("taxonomy"), cfg.get("source_taxonomy"),
-              cfg.get("static_vectors")]
-    write_manifest(out_dir, "train", cfg,
-                   {"base_seed": base_seed, "repeats": repeats,
+    return _finish(out_dir, "train", cfg,
+                   {"base_seed": cfg.base_seed, "repeats": cfg.repeats,
                     "train_seed_offset": TRAIN_SEED_OFFSET},
-                   [p for p in inputs if p], outputs)
-    return 1 if failures else 0
+                   [cfg.source_corpus, cfg.target_train, cfg.taxonomy,
+                    cfg.source_taxonomy, cfg.static_vectors], outputs, failures)
 
 
-def cmd_eval(args):
-    cfg = merged_config(args)
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    repeats = int(cfg["repeats"])
-    split = cfg.get("eval_split", "test")
-    corpus = _load_target(cfg, split)
+def cmd_eval(cfg, args):
+    out_dir = Path(cfg.out)
+    corpus = _load_target(cfg, cfg.eval_split)
 
-    outputs = []
-    failures = []
-    summary_rows = []
-    for k in _k_list(cfg):
-        records = []
-        scores = []
-        for i in range(repeats):
-            ckpt = Path(args.checkpoint) if getattr(args, "checkpoint", None) \
-                else out_dir / f"model_k{k}_run{i}.ckpt"
+    outputs, failures, summary_rows = [], [], []
+    for k in cfg.k:
+        records, scores = [], []
+        for i in range(cfg.repeats):
+            ckpt = Path(args.checkpoint or out_dir / f"model_k{k}_run{i}.ckpt")
             try:
                 model = load_checkpoint(ckpt)
                 before = sha256_file(ckpt)
                 if args.zero_shot:
                     model.set_taxonomy(_target_taxonomy(cfg, run_index=i))
-                eval_corpus = type(corpus)(corpus.name, corpus.sentences,
-                                           model.taxonomy, role=corpus.role)
+                eval_corpus = dataclasses.replace(corpus, taxonomy=model.taxonomy)
                 result = evaluate_dataset(model, eval_corpus)
                 if sha256_file(ckpt) != before:
                     raise RuntimeError("checkpoint mutated during evaluation")
                 records.append(result_record(result, dataset=corpus.name, k=k,
-                                             seed=int(cfg["base_seed"]) + i))
+                                             seed=cfg.base_seed + i))
                 scores.append(result.overall.f1)
             except Exception as exc:
                 failures.append(f"k={k} run={i}: {exc}")
@@ -310,16 +332,14 @@ def cmd_eval(args):
     summary_path = out_dir / "summary.txt"
     summary_path.write_text("\n".join(summary_rows) + "\n", encoding="utf-8")
     outputs.append(summary_path)
-    _flush_failures(out_dir, failures)
-    write_manifest(out_dir, "eval", cfg, {"repeats": repeats},
-                   [cfg.get(f"target_{split}"), cfg.get("taxonomy")], outputs)
     print(summary_path.read_text(), end="")
-    return 1 if failures else 0
+    return _finish(out_dir, "eval", cfg, {"repeats": cfg.repeats},
+                   [getattr(cfg, f"target_{cfg.eval_split}"), cfg.taxonomy],
+                   outputs, failures)
 
 
 def cmd_predict(args):
     model = load_checkpoint(args.checkpoint)
-    cache = None
     if args.cache:
         cache = load_label_cache(args.cache)
     else:
@@ -331,8 +351,7 @@ def cmd_predict(args):
     with open(args.input, encoding="utf-8") as f:
         for rows in conll_sentences(f):
             tokens = [cols[0] for _, cols in rows]
-            sentence = Sentence(tokens, ["O"] * len(tokens))
-            tags = predict_tags(model, sentence, cache=cache)
+            tags = predict_tags(model, Sentence(tokens, ["O"] * len(tokens)), cache=cache)
             lines += [f"{tok} {tag}" for tok, tag in zip(tokens, tags)]
             lines.append("")
     Path(args.output).write_text(
@@ -341,56 +360,30 @@ def cmd_predict(args):
 
 
 def cmd_cache_labels(args):
-    model = load_checkpoint(args.checkpoint)
-    cache = build_label_cache(model)
+    cache = build_label_cache(load_checkpoint(args.checkpoint))
     save_label_cache(cache, args.out)
     print(f"cached {cache.matrix.shape[0]} label vectors")
     return 0
 
 
-def _flush_failures(out_dir, failures):
-    if failures:
-        (Path(out_dir) / "failures.txt").write_text(
-            "\n".join(failures) + "\n", encoding="utf-8")
-        for f in failures:
-            print(f"FAILED {f}", file=sys.stderr)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="lsner",
-        description="Few-shot NER with label-name semantics")
+        prog="lsner", description="Few-shot NER with label-name semantics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for command, func, help_text in (
+            ("sample", cmd_sample, "sample K-shot support sets"),
+            ("train", cmd_train, "two-stage training per (K, repeat)"),
+            ("eval", cmd_eval, "evaluate checkpoints on dev/test")):
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--config")
-        p.add_argument("--k")
-        p.add_argument("--repeats", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--rename")
-        p.add_argument("--rename-map", dest="rename_map")
-        p.add_argument("--scheme")
-        p.add_argument("--static-vectors", dest="static_vectors")
-        p.add_argument("--tie-embeddings", dest="tie_embeddings")
-
-    p = sub.add_parser("sample", help="sample K-shot support sets")
-    common(p)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("train", help="two-stage training per (K, repeat)")
-    common(p)
-    p.add_argument("--no-prefinetune", action="store_true")
-    p.add_argument("--finetune-epochs", dest="finetune_epochs", type=int)
-    p.add_argument("--prefinetune-epochs", dest="prefinetune_epochs", type=int)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate checkpoints on dev/test")
-    common(p)
-    p.add_argument("--zero-shot", action="store_true")
-    p.add_argument("--checkpoint")
-    p.add_argument("--eval-split", dest="eval_split", choices=("dev", "test"))
-    p.set_defaults(func=cmd_eval)
+        for f in dataclasses.fields(RunConfig):  # a bare boolean flag means true
+            flag = f.metadata.get("flag") or "--" + f.name.replace("_", "-")
+            p.add_argument(flag, dest=f.name,
+                           **({"nargs": "?", "const": "true"} if f.type is bool else {}))
+    sub.choices["eval"].add_argument("--zero-shot", action="store_true")
+    sub.choices["eval"].add_argument("--checkpoint")
 
     p = sub.add_parser("predict", help="tag a corpus with a trained model")
     p.add_argument("--checkpoint", required=True)
@@ -410,6 +403,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.func in (cmd_sample, cmd_train, cmd_eval):
+            cfg = parse_run_config(args)
+            Path(cfg.out).mkdir(parents=True, exist_ok=True)
+            return args.func(cfg, args)
         return args.func(args)
     except (CliError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

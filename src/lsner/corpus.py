@@ -283,6 +283,9 @@ def _random_derangement(n, rng):
             return perm
 
 
+RENAME_MODES = ("original", "meaningless", "misleading", "custom")
+
+
 def rename_taxonomy(taxonomy, mode, rng=None, mapping=None):
     """Return a taxonomy with renamed natural-language forms.
 
@@ -291,6 +294,8 @@ def rename_taxonomy(taxonomy, mode, rng=None, mapping=None):
     (original name -> new natural name), which must cover every type.
     "other" is never renamed.
     """
+    if mode not in RENAME_MODES:
+        raise CorpusError(f"unknown rename mode {mode!r}")
     types = taxonomy.types
     if mode == "original":
         return LabelTaxonomy(list(types))
@@ -303,12 +308,10 @@ def rename_taxonomy(taxonomy, mode, rng=None, mapping=None):
         perm = _random_derangement(len(types), rng)
         return LabelTaxonomy(
             [(orig, types[perm[i]][1]) for i, (orig, _) in enumerate(types)])
-    if mode == "custom":
-        missing = [orig for orig, _ in types if orig not in mapping]
-        if missing:
-            raise CorpusError(f"rename map missing entries for {missing}")
-        return LabelTaxonomy([(orig, mapping[orig]) for orig, _ in types])
-    raise CorpusError(f"unknown rename mode {mode!r}")
+    missing = [orig for orig, _ in types if orig not in mapping]  # custom
+    if missing:
+        raise CorpusError(f"rename map missing entries for {missing}")
+    return LabelTaxonomy([(orig, mapping[orig]) for orig, _ in types])
 
 
 def filter_coarse_type(dataset, coarse, rng, separator="-"):

@@ -27,12 +27,11 @@ class TrainingConfig:
     batch_size: int = 10
     prefinetune_epochs: int = 3
     finetune_epochs: int = 200
-    optimizer: str = "adam"
     seed: int = 0
     scheme: str = "name"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # also rejects NaN
             raise ValueError("learning rate must be positive")
         if self.batch_size < 1 or self.prefinetune_epochs < 0 or self.finetune_epochs < 0:
             raise ValueError("counts must be non-negative, batch size positive")
@@ -325,7 +324,7 @@ def run_two_stage(model, source, target_support, config, trace_hook=None):
                                      stage="finetune",
                                      support_sentences=target_support.sentences,
                                      trace_hook=trace_hook)
-    return model, traces
+    return traces
 
 
 def build_label_cache(model, scheme=None, contexts=None, meta=None):

@@ -106,7 +106,7 @@ def sinusoidal_positions(length, dim):
     return table
 
 
-def init_contextualizer(kind, dim, rng, prefix="ctx", window=2):
+def init_contextualizer(kind, dim, rng, prefix="ctx"):
     """Create the ParamGroups a contextualizer of the given kind needs."""
     if kind not in CONTEXTUALIZER_KINDS:
         raise ValueError(f"unknown contextualizer kind {kind!r}")

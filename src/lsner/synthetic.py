@@ -33,12 +33,6 @@ class SyntheticTask:
                 table[i] = self.vectors[token]
         return table
 
-    def write_vectors(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for word in sorted(self.vectors):
-                vals = " ".join(f"{v:.8f}" for v in self.vectors[word])
-                f.write(f"{word} {vals}\n")
-
     def all_words(self):
         words = list(self.fillers)
         for members in self.families.values():

@@ -1,11 +1,13 @@
 """Command-line driver: sampling, training, evaluation, prediction, caching."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lsner.cli import main, read_config, sha256_file
+from lsner.cli import RunConfig, main, read_config, sha256_file
 from lsner.corpus import load_conll, serialize_conll, serialize_taxonomy
 from lsner.sampler import load_support, verify_kshot
 from lsner.serialization import load_checkpoint, load_label_cache
@@ -65,6 +67,45 @@ class TestConfig:
         rc = main(["eval", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("line, flags, message", [
+        ("finetune_epoch = 500", [], "finetune_epoch: unknown key"),
+        ("tie_embeddings = ture", [],
+         "tie_embeddings: expected true or false, got 'ture'"),
+        ("lr = 1e-3x", [], "lr: expected a number, got '1e-3x'"),
+        ("eval_split = tst", [], "eval_split: expected one of dev, test, got 'tst'"),
+        ("label_pool = mean", [], "label_pool: unknown key"),
+        ("token_ctx = lstm", [], "token_ctx: expected one of identity, "
+         "window-mixer, self-attention, got 'lstm'"),
+        ("k = one", [], "k: expected integers, got 'one'"),
+        (None, ["--rename", "shuffled"], "rename: expected one of original, "
+         "meaningless, misleading, map:<file>, got 'shuffled'"),
+    ], ids=["typo-key", "bool", "float", "eval-split", "unreachable-key",
+            "contextualizer", "k-list", "flag-value"])
+    def test_bad_config_rejected_before_any_corpus_loads(self, tmp_path, capsys,
+                                                         line, flags, message):
+        # target_train does not exist: reaching the corpus would fail with a
+        # file error instead of naming the key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"target_train = {tmp_path / 'missing.conll'}\n"
+                       "k = 1\n" + (f"{line}\n" if line else ""))
+        out = tmp_path / "out"
+        rc = main(["train", "--config", str(cfg), "--out", str(out)] + flags)
+        assert rc == 2
+        where = f"{cfg}:3" if line else "command line"
+        assert f"error: {where}: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_table_matches_run_config(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1:4] for line in section.splitlines()
+                if line.startswith("| `")]
+        documented = {key.strip(" `"): default.strip() for key, _, default in rows}
+        defaults = RunConfig().record()
+        assert documented == {
+            f.name: f"`{defaults[f.name]}`" if f.name in defaults else "unset"
+            for f in dataclasses.fields(RunConfig)}
 
 
 class TestSample:
@@ -135,6 +176,16 @@ class TestTrain:
         manifest = json.loads((out / "manifest_train.json").read_text())
         assert manifest["config"]["prefinetune_epochs"] == "0"
         assert manifest["config"]["no_prefinetune"] == "true"
+
+    def test_dim_flag_sets_checkpoint_dim(self, workspace):
+        out = workspace / "dim16"
+        rc = main(["train", "--config", str(workspace / "run.cfg"),
+                   "--out", str(out), "--dim", "16"])
+        assert rc == 0
+        model = load_checkpoint(out / "model_k1_run0.ckpt")
+        assert model.token_params.embedding.values.shape[1] == 16
+        manifest = json.loads((out / "manifest_train.json").read_text())
+        assert manifest["config"]["dim"] == "16"
 
     def test_flag_overrides_config(self, workspace):
         out = workspace / "override"

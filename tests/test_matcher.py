@@ -23,7 +23,7 @@ def param_bytes(model):
 # builds a full-table buffer, and Adam makes a new array per expression.
 # The shipped kernels must reproduce their results bit for bit.
 
-def dense_accum(t, g):
+def dense_accum(t, g, fresh=False):  # always zeros first, so `fresh` is moot
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
@@ -240,13 +240,13 @@ class TestTwoStage:
         m = init_model(vocab, tiny_dataset.taxonomy, dim=8, seed=1,
                        token_ctx="identity")
         cfg = TrainingConfig(prefinetune_epochs=2, finetune_epochs=3)
-        _, traces = run_two_stage(m, tiny_dataset, tiny_dataset, cfg)
+        traces = run_two_stage(m, tiny_dataset, tiny_dataset, cfg)
         assert len(traces["prefinetune"]) == 2
         assert len(traces["finetune"]) == 3
 
     def test_skips_prefinetune_without_source(self, tiny_dataset, small_model):
-        _, traces = run_two_stage(small_model, None, tiny_dataset,
-                                  TrainingConfig(finetune_epochs=1))
+        traces = run_two_stage(small_model, None, tiny_dataset,
+                               TrainingConfig(finetune_epochs=1))
         assert set(traces) == {"finetune"}
 
 

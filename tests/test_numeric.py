@@ -140,7 +140,7 @@ class TestContextualizers:
     def test_window_mixer_matches_manual_replay(self):
         rng = np.random.default_rng(11)
         d, t, w = 4, 5, 2
-        params = init_contextualizer("window-mixer", d, rng, window=w)
+        params = init_contextualizer("window-mixer", d, rng)
         x = rng.normal(size=(t, d))
         out = apply_contextualizer(x, params, "window-mixer", window=w)
 
@@ -219,24 +219,39 @@ class TestGradientCheck:
         worst = check_gradients(loss, [emb, proj], eps=1e-6, rng=rng)
         assert worst < 1e-6
 
-    @pytest.mark.parametrize("idx", [[3, 1, 3, 3, 0], [2, 0, 5]],
-                             ids=["repeated-rows", "distinct-rows"])
+    @pytest.mark.parametrize("reads", [
+        [[3, 1, 3, 3, 0]], [[2, 0, 5]], ["max", "max"], ["first", "first"]],
+        ids=["repeated-rows", "distinct-rows", "max-twice", "first-twice"])
     @pytest.mark.parametrize("prior", [False, True], ids=["no-grad", "nonzero-grad"])
-    def test_take_rows_backward_matches_dense_reference(self, idx, prior):
+    def test_take_rows_backward_matches_dense_reference(self, reads, prior):
+        # each read of the table (a row gather, or max or first pooling) is
+        # checked bitwise against a dense buffer of the table's shape added
+        # into the gradient in backward order
         rng = np.random.default_rng(4)
         table = Tensor(rng.normal(size=(6, 8)))
         # a larger prior makes the order of additions show in the last bits
         start = rng.normal(size=(6, 8)) * 10
-        g = rng.normal(size=(len(idx), 8))
         if prior:
             table.grad = start.copy()
-        ad.sum_all(ad.mul(ad.take_rows(table, idx), Tensor(g))).backward()
+        ops = {"max": ad.max_rows, "first": ad.first_row}
+        outs = [ops[r](table) if isinstance(r, str) else ad.take_rows(table, r)
+                for r in reads]
+        gs = [rng.normal(size=out.shape) for out in outs]
+        losses = [ad.sum_all(ad.mul(out, Tensor(g))) for out, g in zip(outs, gs)]
+        total = losses[0] if len(losses) == 1 else ad.add(*losses)
+        total.backward()
 
-        # reference: a zero buffer of the table's shape filled by np.add.at
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, idx, g)
         expected = start.copy() if prior else np.zeros_like(table.data)
-        expected += buf
+        cols = np.arange(table.data.shape[1])
+        for r, g in zip(reads, gs):
+            buf = np.zeros_like(table.data)
+            if r == "max":
+                buf[np.argmax(table.data, axis=0), cols] = g
+            elif r == "first":
+                buf[0] = g
+            else:
+                np.add.at(buf, r, g)
+            expected += buf
         np.testing.assert_array_equal(table.grad, expected)
 
     def test_rejects_nonpositive_eps(self):
