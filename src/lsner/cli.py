@@ -9,6 +9,7 @@ the two are independently reproducible.
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -60,6 +61,13 @@ def _one_of(*choices):
     return check
 
 
+def _positive(value):
+    """Check an integer, or each of a tuple of integers, is at least 1."""
+    if min(value if isinstance(value, tuple) else (value,)) < 1:
+        _, text, expected = _TYPES[type(value)]
+        raise ValueError(f"expected {expected} >= 1, got {text(value)!r}")
+
+
 def _check_rename(mode):
     if not mode.startswith("map:"):
         _one_of(*(m for m in RENAME_MODES if m != "custom"), "map:<file>")(mode)
@@ -81,10 +89,10 @@ class RunConfig:
     taxonomy: str = None
     static_vectors: str = None
     out: str = None
-    k: tuple = (1,)
-    repeats: int = 10
+    k: tuple = _key((1,), _positive)
+    repeats: int = _key(10, _positive)
     base_seed: int = _key(0, flag="--seed")
-    dim: int = 32
+    dim: int = _key(32, _positive)
     lr: float = _key(1e-3, lambda v: TrainingConfig(learning_rate=v))
     batch_size: int = _key(10, lambda v: TrainingConfig(batch_size=v))
     prefinetune_epochs: int = _key(3, lambda v: TrainingConfig(prefinetune_epochs=v))
@@ -246,6 +254,22 @@ def _build_model_for_run(cfg, source, target, taxonomy, train_seed):
                       caps_feature=cfg.caps_feature, static_table=static_table)
 
 
+def _reused_support(path, target, k):
+    """Load a support file left by an earlier run; raise unless it is a K-shot
+    set of `target`."""
+    support = load_support(path)
+    if support.shot != k:
+        raise RuntimeError(f"{path.name}: header k={support.shot}, run needs k={k}")
+    for i in support.indices:
+        if not 0 <= i < len(target.sentences):
+            raise RuntimeError(f"{path.name}: index {i} out of range "
+                               f"({len(target.sentences)} sentences)")
+    verdict = verify_kshot(target, support, k)
+    if not verdict.ok:
+        raise RuntimeError(f"{path.name}: failed {verdict.reason}")
+    return support
+
+
 def cmd_train(cfg, args):
     out_dir = Path(cfg.out)
     source = None
@@ -264,7 +288,7 @@ def cmd_train(cfg, args):
             try:
                 support_path = out_dir / f"support_k{k}_run{i}.txt"
                 if support_path.exists():
-                    support = load_support(support_path)
+                    support = _reused_support(support_path, target, k)
                 else:
                     support = sample_support(target, k, np.random.default_rng(sample_seed))
                     support.seed = sample_seed
@@ -366,17 +390,21 @@ def cmd_cache_labels(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """Build the parser once per process. Each subcommand stores its handler's
+    name, which `main` looks up on every call, so a handler replaced later
+    (a test double, perfbench's tracer) is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="lsner", description="Few-shot NER with label-name semantics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, func, help_text in (
-            ("sample", cmd_sample, "sample K-shot support sets"),
-            ("train", cmd_train, "two-stage training per (K, repeat)"),
-            ("eval", cmd_eval, "evaluate checkpoints on dev/test")):
+    for command, help_text in (
+            ("sample", "sample K-shot support sets"),
+            ("train", "two-stage training per (K, repeat)"),
+            ("eval", "evaluate checkpoints on dev/test")):
         p = sub.add_parser(command, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=f"cmd_{command}")
         p.add_argument("--config")
         for f in dataclasses.fields(RunConfig):  # a bare boolean flag means true
             flag = f.metadata.get("flag") or "--" + f.name.replace("_", "-")
@@ -391,23 +419,24 @@ def build_parser():
     p.add_argument("--cache-out", dest="cache_out")
     p.add_argument("input")
     p.add_argument("output")
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func="cmd_predict")
 
     p = sub.add_parser("cache-labels", help="freeze label vectors to a file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cache_labels)
+    p.set_defaults(func="cmd_cache_labels")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    func = globals()[args.func]
     try:
-        if args.func in (cmd_sample, cmd_train, cmd_eval):
+        if args.func in ("cmd_sample", "cmd_train", "cmd_eval"):
             cfg = parse_run_config(args)
             Path(cfg.out).mkdir(parents=True, exist_ok=True)
-            return args.func(cfg, args)
-        return args.func(args)
+            return func(cfg, args)
+        return func(args)
     except (CliError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,8 +7,11 @@ per line; ``O`` is implicit.
 """
 
 import contextlib
+import functools
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 _TAG_RE = re.compile(r"^(O|[BI]-.+)$")
 
@@ -93,6 +96,8 @@ class LabelTaxonomy:
 
 @dataclass
 class Dataset:
+    """Sentences under one taxonomy; neither is mutated after construction."""
+
     name: str
     sentences: list
     taxonomy: LabelTaxonomy
@@ -105,6 +110,21 @@ class Dataset:
                 if tag != "O" and tag[2:] not in known:
                     raise CorpusError(
                         f"sentence {i}: tag {tag!r} not in taxonomy")
+
+    @functools.cached_property
+    def type_counts(self):
+        """Entity spans per (sentence, type), types in taxonomy order.
+
+        An int matrix built on first use and kept on this instance; a copy
+        made with `dataclasses.replace` builds its own. Column-major, so a
+        type's column is contiguous.
+        """
+        n = len(self.sentences)
+        column = {orig: j for j, orig in enumerate(self.taxonomy.originals())}
+        cells = [column[span.type] * n + i
+                 for i, s in enumerate(self.sentences) for span in extract_spans(s.tags)]
+        return np.bincount(np.array(cells, dtype=np.intp), minlength=n * len(column)
+                           ).reshape((n, len(column)), order="F")
 
 
 def infer_natural_name(original):

@@ -3,10 +3,18 @@
 Counts are entity-level: a multi-token entity is one occurrence. A valid
 support set satisfies two criteria: (1) every entity type has at least K
 occurrences; (2) removing any single sentence breaks (1) for some type.
+
+The sampler keeps counts as int vectors over the taxonomy's types and reads
+each sentence's row of `Dataset.type_counts`, the sentence × type matrix
+that a Dataset builds once and caches. `verify_kshot` does not read that
+matrix: it counts the support's own sentences with `extract_spans`, so it
+stays an independent check of the sampler.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .corpus import Dataset, extract_spans
 
@@ -40,73 +48,74 @@ def count_entity_occurrences(sentences, taxonomy):
     return dict(counts)
 
 
-def _sentence_counts(dataset):
-    per_sentence = []
-    for s in dataset.sentences:
-        c = Counter()
-        for span in extract_spans(s.tags):
-            c[span.type] += 1
-        per_sentence.append(c)
-    return per_sentence
-
-
 def sample_support(dataset, k, rng):
     """Sample a K-shot support set (greedy add, then one pruning pass).
 
     Phase 1 walks entity types in taxonomy order and adds uniformly random
-    unused sentences containing the type until its count reaches K. Phase 2
-    revisits support sentences in insertion order and drops each one whose
-    removal keeps every count at K or above.
+    unused sentences containing the type until its count reaches K; the
+    candidates are in ascending sentence order. Phase 2 revisits support
+    sentences in insertion order and drops each one whose removal keeps
+    every count at K or above.
     """
     if k < 1:
         raise SamplingError("k must be >= 1")
-    per_sentence = _sentence_counts(dataset)
-    totals = count_entity_occurrences(dataset.sentences, dataset.taxonomy)
-    for label in dataset.taxonomy.originals():
-        if totals.get(label, 0) < k:
+    labels = dataset.taxonomy.originals()
+    per_sentence = dataset.type_counts
+    totals = per_sentence.sum(axis=0)
+    for label, total in zip(labels, totals):
+        if total < k:
             raise SamplingError(
-                f"label {label!r} has only {totals.get(label, 0)} "
-                f"occurrences, need {k}")
+                f"label {label!r} has only {total} occurrences, need {k}")
 
     chosen = []
-    in_support = set()
-    counts = Counter({orig: 0 for orig in dataset.taxonomy.originals()})
+    used = np.zeros(len(per_sentence), dtype=bool)
+    counts = np.zeros(len(labels), dtype=per_sentence.dtype)
 
-    for label in dataset.taxonomy.originals():
-        while counts[label] < k:
-            candidates = [i for i, c in enumerate(per_sentence)
-                          if c[label] > 0 and i not in in_support]
+    for j, label in enumerate(labels):
+        if counts[j] >= k:
+            continue
+        # unused sentences containing the label, ascending; a pick leaves the list
+        candidates = np.flatnonzero((per_sentence[:, j] > 0) & ~used).tolist()
+        while counts[j] < k:
             if not candidates:
                 raise SamplingError(f"ran out of sentences containing {label!r}")
-            pick = candidates[int(rng.integers(len(candidates)))]
+            pick = candidates.pop(int(rng.integers(len(candidates))))
             chosen.append(pick)
-            in_support.add(pick)
-            counts.update(per_sentence[pick])
+            used[pick] = True
+            counts += per_sentence[pick]
 
-    for idx in list(chosen):
-        trial = counts.copy()
-        trial.subtract(per_sentence[idx])
-        if all(trial[label] >= k for label in dataset.taxonomy.originals()):
-            chosen.remove(idx)
-            in_support.remove(idx)
+    kept = []
+    for idx in chosen:
+        trial = counts - per_sentence[idx]
+        if (trial >= k).all():
             counts = trial
+        else:
+            kept.append(idx)
 
-    return SupportSet(dataset.name, k, None, chosen, dict(counts))
+    return SupportSet(dataset.name, k, None, kept,
+                      {label: int(c) for label, c in zip(labels, counts)})
 
 
 def verify_kshot(dataset, support, k):
-    """Check both criteria; criterion 2 via single-sentence deletion trials."""
-    sentences = [dataset.sentences[i] for i in support.indices]
-    counts = count_entity_occurrences(sentences, dataset.taxonomy)
-    for label in dataset.taxonomy.originals():
-        if counts.get(label, 0) < k:
-            return Verdict(False, "criterion1_failed", label)
+    """Check both criteria; criterion 2 via single-sentence deletion trials.
+
+    Each support sentence is counted once, into a row of its own; deleting
+    position p leaves the total minus row p. The first removable position
+    is reported.
+    """
+    labels = dataset.taxonomy.originals()
+    column = {label: j for j, label in enumerate(labels)}
+    per_sentence = np.zeros((len(support.indices), len(labels)), dtype=np.int64)
     for pos, idx in enumerate(support.indices):
-        rest = sentences[:pos] + sentences[pos + 1:]
-        rest_counts = count_entity_occurrences(rest, dataset.taxonomy)
-        if all(rest_counts.get(label, 0) >= k
-               for label in dataset.taxonomy.originals()):
-            return Verdict(False, "criterion2_failed", idx)
+        for span in extract_spans(dataset.sentences[idx].tags):
+            per_sentence[pos, column[span.type]] += 1
+    total = per_sentence.sum(axis=0)
+    for label, count in zip(labels, total):
+        if count < k:
+            return Verdict(False, "criterion1_failed", label)
+    removable = (total - per_sentence >= k).all(axis=1)
+    if removable.any():
+        return Verdict(False, "criterion2_failed", support.indices[int(removable.argmax())])
     return Verdict(True)
 
 

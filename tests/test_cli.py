@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lsner import cli
 from lsner.cli import RunConfig, main, read_config, sha256_file
 from lsner.corpus import load_conll, serialize_conll, serialize_taxonomy
 from lsner.sampler import load_support, verify_kshot
@@ -80,8 +81,14 @@ class TestConfig:
         ("k = one", [], "k: expected integers, got 'one'"),
         (None, ["--rename", "shuffled"], "rename: expected one of original, "
          "meaningless, misleading, map:<file>, got 'shuffled'"),
+        ("repeats = 0", [], "repeats: expected an integer >= 1, got '0'"),
+        ("repeats = -1", [], "repeats: expected an integer >= 1, got '-1'"),
+        ("dim = 0", [], "dim: expected an integer >= 1, got '0'"),
+        ("k = 1 0", [], "k: expected integers >= 1, got '1 0'"),
+        (None, ["--repeats", "0"], "repeats: expected an integer >= 1, got '0'"),
     ], ids=["typo-key", "bool", "float", "eval-split", "unreachable-key",
-            "contextualizer", "k-list", "flag-value"])
+            "contextualizer", "k-list", "flag-value", "repeats-zero",
+            "repeats-negative", "dim-zero", "k-zero", "repeats-flag"])
     def test_bad_config_rejected_before_any_corpus_loads(self, tmp_path, capsys,
                                                          line, flags, message):
         # target_train does not exist: reaching the corpus would fail with a
@@ -167,6 +174,34 @@ class TestTrain:
         # same inputs and seeds => identical checkpoint bytes
         assert sha256_file(out2 / "model_k1_run0.ckpt") == \
             sha256_file(trained / "model_k1_run0.ckpt")
+
+    def test_support_file_from_another_corpus_is_a_named_failure(self, workspace, tmp_path):
+        out = tmp_path / "stale"
+        assert main(["sample", "--config", str(workspace / "run.cfg"),
+                     "--out", str(out)]) == 0
+        rc = main(["train", "--config", str(workspace / "run.cfg"), "--out", str(out),
+                   "--target-train", str(workspace / "target_test.conll")])
+        assert rc == 1
+        assert (out / "failures.txt").read_text() == \
+            "k=1 run=0: support_k1_run0.txt: index 21 out of range (10 sentences)\n"
+        assert not (out / "model_k1_run0.ckpt").exists()
+
+    @pytest.mark.parametrize("header_k, indices, reason", [
+        (2, None, "header k=2, run needs k=1"),
+        (1, list(range(10)), "failed criterion2_failed"),
+    ], ids=["header-k", "not-minimal"])
+    def test_invalid_support_file_is_a_named_failure(self, workspace, trained, tmp_path,
+                                                     header_k, indices, reason):
+        sampled = load_support(trained / "support_k1_run0.txt")
+        lines = [f"# dataset={sampled.dataset_name}", f"# k={header_k}", "# seed=0"]
+        out = tmp_path / "invalid"
+        out.mkdir()
+        (out / "support_k1_run0.txt").write_text(
+            "\n".join(lines + [str(i) for i in indices or sampled.indices]) + "\n")
+        rc = main(["train", "--config", str(workspace / "run.cfg"), "--out", str(out)])
+        assert rc == 1
+        assert (out / "failures.txt").read_text() == \
+            f"k=1 run=0: support_k1_run0.txt: {reason}\n"
 
     def test_no_prefinetune_recorded(self, workspace):
         out = workspace / "no_stage1"
@@ -254,6 +289,18 @@ class TestPredict:
         assert rc == 0
         lines = out_file.read_text().splitlines()
         assert len([l for l in lines if l]) == 3
+
+    def test_handler_patched_after_first_call_is_reached(self, workspace, trained,
+                                                         tmp_path, monkeypatch):
+        # the parser is built once per process; the handler must be looked up
+        # on every call, not captured when the parser was built
+        argv = ["predict", "--checkpoint", str(trained / "model_k1_run0.ckpt"),
+                str(workspace / "target_test.conll"), str(tmp_path / "out.conll")]
+        assert main(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_predict", lambda args: seen.append(args) or 7)
+        assert main(argv) == 7
+        assert len(seen) == 1 and seen[0].output == argv[-1]
 
     def test_empty_input_gives_empty_output(self, workspace, trained, tmp_path):
         inp = tmp_path / "empty.txt"

@@ -1,5 +1,7 @@
 """Support-set sampling: entity-level counting and both validity criteria."""
 
+import dataclasses
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -8,10 +10,116 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_corpus
-from lsner.corpus import Dataset, LabelTaxonomy, Sentence
-from lsner.sampler import (SamplingError, SupportSet, count_entity_occurrences,
+from lsner.corpus import Dataset, LabelTaxonomy, Sentence, extract_spans
+from lsner.sampler import (SamplingError, SupportSet, Verdict, count_entity_occurrences,
                            load_support, parse_support, sample_support,
                            serialize_support, support_dataset, verify_kshot)
+
+
+# Reference oracles: the per-sentence Counter sampler and the O(|S|^2)
+# deletion-trial verifier that the matrix versions replaced, kept verbatim.
+
+def _sentence_counts(dataset):
+    per_sentence = []
+    for s in dataset.sentences:
+        c = Counter()
+        for span in extract_spans(s.tags):
+            c[span.type] += 1
+        per_sentence.append(c)
+    return per_sentence
+
+
+def reference_sample_support(dataset, k, rng):
+    """Sample a K-shot support set (greedy add, then one pruning pass).
+
+    Phase 1 walks entity types in taxonomy order and adds uniformly random
+    unused sentences containing the type until its count reaches K. Phase 2
+    revisits support sentences in insertion order and drops each one whose
+    removal keeps every count at K or above.
+    """
+    if k < 1:
+        raise SamplingError("k must be >= 1")
+    per_sentence = _sentence_counts(dataset)
+    totals = count_entity_occurrences(dataset.sentences, dataset.taxonomy)
+    for label in dataset.taxonomy.originals():
+        if totals.get(label, 0) < k:
+            raise SamplingError(
+                f"label {label!r} has only {totals.get(label, 0)} "
+                f"occurrences, need {k}")
+
+    chosen = []
+    in_support = set()
+    counts = Counter({orig: 0 for orig in dataset.taxonomy.originals()})
+
+    for label in dataset.taxonomy.originals():
+        while counts[label] < k:
+            candidates = [i for i, c in enumerate(per_sentence)
+                          if c[label] > 0 and i not in in_support]
+            if not candidates:
+                raise SamplingError(f"ran out of sentences containing {label!r}")
+            pick = candidates[int(rng.integers(len(candidates)))]
+            chosen.append(pick)
+            in_support.add(pick)
+            counts.update(per_sentence[pick])
+
+    for idx in list(chosen):
+        trial = counts.copy()
+        trial.subtract(per_sentence[idx])
+        if all(trial[label] >= k for label in dataset.taxonomy.originals()):
+            chosen.remove(idx)
+            in_support.remove(idx)
+            counts = trial
+
+    return SupportSet(dataset.name, k, None, chosen, dict(counts))
+
+
+def reference_verify_kshot(dataset, support, k):
+    """Check both criteria; criterion 2 via single-sentence deletion trials."""
+    sentences = [dataset.sentences[i] for i in support.indices]
+    counts = count_entity_occurrences(sentences, dataset.taxonomy)
+    for label in dataset.taxonomy.originals():
+        if counts.get(label, 0) < k:
+            return Verdict(False, "criterion1_failed", label)
+    for pos, idx in enumerate(support.indices):
+        rest = sentences[:pos] + sentences[pos + 1:]
+        rest_counts = count_entity_occurrences(rest, dataset.taxonomy)
+        if all(rest_counts.get(label, 0) >= k
+               for label in dataset.taxonomy.originals()):
+            return Verdict(False, "criterion2_failed", idx)
+    return Verdict(True)
+
+
+@st.composite
+def bio_corpora(draw):
+    """1-8 types, 1-120 sentences of 1-8 tags; multi-token spans, orphan
+    I- tags, and types that never occur (only the first `used` are tagged)."""
+    n_types = draw(st.integers(1, 8))
+    used = draw(st.one_of(st.just(n_types), st.integers(1, n_types)))
+    n_sentences = draw(st.integers(1, 120))
+    types = [f"T{i}" for i in range(n_types)]
+    tag = st.sampled_from(["O", "O"] + [m + t for t in types[:used] for m in ("B-", "I-")])
+    sentences = [Sentence(["w"] * len(tags), tags)
+                 for tags in draw(st.lists(st.lists(tag, min_size=1, max_size=8),
+                                           min_size=n_sentences, max_size=n_sentences))]
+    return Dataset("drawn", sentences, LabelTaxonomy([(t, t.lower()) for t in types]))
+
+
+def outcome(sample, dataset, k, seed):
+    """(indices, counts) of a draw, or the SamplingError message."""
+    try:
+        support = sample(dataset, k, np.random.default_rng(seed))
+    except SamplingError as exc:
+        return str(exc)
+    return support.indices, support.counts
+
+
+def perturbed_supports(dataset, indices):
+    """An undersized, a padded and a duplicate-index variant of a support."""
+    spare = [i for i in range(len(dataset.sentences)) if i not in indices]
+    variants = [indices[:-1], indices + indices[:1], indices[1:] + indices[:1] * 2]
+    if spare:
+        variants += [indices + spare[:1], spare[:1] + indices]
+    return variants
 
 
 def subset_is_valid(dataset, indices, k):
@@ -92,6 +200,48 @@ class TestSampleSupport:
                                 min_per_type=k)
         support = sample_support(ds, k, rng)
         assert verify_kshot(ds, support, k).ok
+
+
+class TestMatchesReference:
+    @given(bio_corpora(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_same_draws_as_reference(self, dataset, k, seed):
+        assert outcome(sample_support, dataset, k, seed) == \
+            outcome(reference_sample_support, dataset, k, seed)
+
+    @given(bio_corpora())
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_type_counts_match_per_sentence_counts(self, dataset):
+        matrix = dataset.type_counts
+        assert matrix.shape == (len(dataset.sentences), len(dataset.taxonomy.types))
+        for row, sentence in zip(matrix, dataset.sentences):
+            assert dict(zip(dataset.taxonomy.originals(), row.tolist())) == \
+                count_entity_occurrences([sentence], dataset.taxonomy)
+
+    def test_type_counts_belong_to_the_instance(self, tiny_dataset):
+        three = LabelTaxonomy(tiny_dataset.taxonomy.types + [("ORG", "organization")])
+        assert tiny_dataset.type_counts.shape == (5, 2)
+        assert dataclasses.replace(tiny_dataset, taxonomy=three).type_counts.shape == (5, 3)
+
+    @given(bio_corpora(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_verify_agrees_with_reference(self, dataset, k, seed):
+        try:
+            indices = sample_support(dataset, k, np.random.default_rng(seed)).indices
+        except SamplingError:
+            indices = list(range(len(dataset.sentences)))
+        for variant in [indices] + perturbed_supports(dataset, indices):
+            support = SupportSet(dataset.name, k, None, variant)
+            assert verify_kshot(dataset, support, k) == \
+                reference_verify_kshot(dataset, support, k)
+
+    def test_verify_ignores_the_sampler_matrix(self, tiny_dataset):
+        support = sample_support(tiny_dataset, 1, np.random.default_rng(1))
+        tiny_dataset.type_counts = np.zeros_like(tiny_dataset.type_counts)
+        for variant in [support.indices] + perturbed_supports(tiny_dataset, support.indices):
+            check = SupportSet("tiny", 1, None, variant)
+            assert verify_kshot(tiny_dataset, check, 1) == \
+                reference_verify_kshot(tiny_dataset, check, 1)
 
 
 class TestVerifyKshot:
