@@ -10,6 +10,15 @@ place after that. A table read through `take_rows` also gets a dense
 gradient, created once per backward pass; each call sums the gradient of
 a repeated row first and then adds one sum per touched row, so the work
 per call follows the rows read, not the table size.
+
+`Tensor.grad_rows` records where such a gradient can be non-zero. When
+`take_rows` creates a gradient it starts a list, and every `take_rows`
+backward appends the index array of the rows it added into. Any other
+contribution (`_accum`, or the seed of `backward`) sets the record to
+None, meaning "not only from gathers". The invariant: while `grad_rows`
+is a list, every row of `grad` outside its arrays is exactly zero.
+`zero_grad` clears both. The optimizer reads the record to update only
+the rows a gather has touched.
 """
 
 import contextlib
@@ -38,11 +47,12 @@ def grad_enabled():
 class Tensor:
     """A node of the computation tape wrapping a dense numpy array."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "grad_rows", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data, dtype=float)
         self.grad = None
+        self.grad_rows = None
         if _GRAD_ENABLED:
             self._parents = parents
             self._backward = backward
@@ -56,6 +66,7 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
+        self.grad_rows = None
 
     def backward(self):
         """Accumulate gradients of this scalar into every reachable leaf."""
@@ -77,6 +88,7 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
+        self.grad_rows = None
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -93,6 +105,7 @@ def _accum(t, g, fresh=False):
         t.grad = g if fresh else np.array(g, dtype=float, order="C")
     else:
         t.grad += g
+    t.grad_rows = None
 
 
 def add(a, b):
@@ -175,7 +188,10 @@ def take_rows(a, idx):
             np.add.at(sums, inv, g)
         if a.grad is None:
             a.grad = np.zeros(a.data.shape)
+            a.grad_rows = []
         a.grad[rows] += sums
+        if a.grad_rows is not None:
+            a.grad_rows.append(rows)
 
     return Tensor(a.data[idx], (a,), bwd)
 

@@ -189,15 +189,20 @@ def _load_target(cfg, split="train"):
     return load_conll(path, taxonomy=taxonomy)
 
 
-def _target_taxonomy(cfg, run_index=0):
-    """Target taxonomy after the configured rename mode."""
-    base = (load_taxonomy(cfg.taxonomy) if cfg.taxonomy is not None
-            else _load_target(cfg, "train").taxonomy)
+def _run_taxonomy(cfg, base):
+    """Return run index -> target taxonomy after the configured rename mode.
+
+    `base` is the target taxonomy the caller loaded once; a ``map:<file>``
+    is read here, once per command.
+    """
     if cfg.rename.startswith("map:"):
-        mapping = dict(load_taxonomy(cfg.rename[4:]).types)  # "map:<file>"
-        return rename_taxonomy(base, "custom", mapping=mapping)
-    rng = np.random.default_rng(cfg.base_seed + RENAME_SEED_OFFSET + run_index)
-    return rename_taxonomy(base, cfg.rename, rng=rng)
+        mapping = dict(load_taxonomy(cfg.rename[4:]).types)
+        return lambda run_index: rename_taxonomy(base, "custom", mapping=mapping)
+
+    def renamed(run_index):
+        rng = np.random.default_rng(cfg.base_seed + RENAME_SEED_OFFSET + run_index)
+        return rename_taxonomy(base, cfg.rename, rng=rng)
+    return renamed
 
 
 def cmd_sample(cfg, args):
@@ -279,6 +284,7 @@ def cmd_train(cfg, args):
         source = load_conll(cfg.source_corpus, taxonomy=source_tax)
         source.role = "source"
     target = _load_target(cfg, "train")
+    run_taxonomy = _run_taxonomy(cfg, target.taxonomy)
 
     outputs, failures = [], []
     for k in cfg.k:
@@ -294,7 +300,7 @@ def cmd_train(cfg, args):
                     support.seed = sample_seed
                     support_path.write_text(serialize_support(support), encoding="utf-8")
                     outputs.append(support_path)
-                taxonomy = _target_taxonomy(cfg, run_index=i)
+                taxonomy = run_taxonomy(i)
                 renamed_target = dataclasses.replace(target, taxonomy=taxonomy)
                 model = _build_model_for_run(cfg, source, target, taxonomy, train_seed)
                 tconf = TrainingConfig(
@@ -324,6 +330,10 @@ def cmd_train(cfg, args):
 def cmd_eval(cfg, args):
     out_dir = Path(cfg.out)
     corpus = _load_target(cfg, cfg.eval_split)
+    if args.zero_shot:
+        base = (corpus.taxonomy if cfg.taxonomy is not None
+                else _load_target(cfg, "train").taxonomy)
+        run_taxonomy = _run_taxonomy(cfg, base)
 
     outputs, failures, summary_rows = [], [], []
     for k in cfg.k:
@@ -334,7 +344,7 @@ def cmd_eval(cfg, args):
                 model = load_checkpoint(ckpt)
                 before = sha256_file(ckpt)
                 if args.zero_shot:
-                    model.set_taxonomy(_target_taxonomy(cfg, run_index=i))
+                    model.set_taxonomy(run_taxonomy(i))
                 eval_corpus = dataclasses.replace(corpus, taxonomy=model.taxonomy)
                 result = evaluate_dataset(model, eval_corpus)
                 if sha256_file(ckpt) != before:

@@ -174,19 +174,26 @@ def _replacement(sub, position_in_span, name_tokens):
     raise ValueError(f"unknown sub-scheme {sub!r}")
 
 
-def build_contextual_label_inputs(label, support_sentences, sub, rng):
+def build_contextual_label_inputs(label, support_sentences, sub, rng, spans=None):
     """Context token lists for one tagging label.
 
     Picks up to CONTEXT_BUDGET distinct support sentences containing an
     entity of the label's type, and in each one rewrites every token of one
     (randomly chosen) occurrence according to the sub-scheme. Returns an
     empty list when no sentence qualifies (callers fall back to the
-    name-only representation).
+    name-only representation). `spans`, when given, holds `extract_spans`
+    of each support sentence, so a caller building every label extracts
+    them once.
     """
     if label.original is None:
         return []
-    eligible = [s for s in support_sentences
-                if any(sp.type == label.original for sp in extract_spans(s.tags))]
+    if spans is None:
+        spans = [extract_spans(s.tags) for s in support_sentences]
+    eligible = []  # (sentence, its spans of the label's type)
+    for s, sentence_spans in zip(support_sentences, spans):
+        own = [sp for sp in sentence_spans if sp.type == label.original]
+        if own:
+            eligible.append((s, own))
     if not eligible:
         return []
     n = min(CONTEXT_BUDGET, len(eligible))
@@ -195,9 +202,8 @@ def build_contextual_label_inputs(label, support_sentences, sub, rng):
 
     out = []
     for p in sorted(int(i) for i in picks):
-        s = eligible[p]
-        spans = [sp for sp in extract_spans(s.tags) if sp.type == label.original]
-        span = spans[int(rng.integers(len(spans)))]
+        s, own = eligible[p]
+        span = own[int(rng.integers(len(own)))]
         tokens = []
         for i, tok in enumerate(s.tokens):
             if span.start <= i < span.end:
@@ -211,8 +217,9 @@ def build_contextual_label_inputs(label, support_sentences, sub, rng):
 
 def select_label_contexts(labels, support_sentences, scheme, rng):
     """Freeze the contextual inputs for every tagging label at stage start."""
+    spans = [extract_spans(s.tags) for s in support_sentences]
     return {label.text: build_contextual_label_inputs(
-        label, support_sentences, scheme.sub, rng)
+        label, support_sentences, scheme.sub, rng, spans=spans)
         for label in labels}
 
 

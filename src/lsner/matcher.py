@@ -195,6 +195,11 @@ def sentence_loss(model, sentence, labels=None, scheme=None, contexts=None):
 # Adam updates a group in row blocks of about this many float64 values
 # (256 KB), so a block's moments, gradient and temporaries stay in cache
 ADAM_BLOCK_VALUES = 1 << 15
+# below this fraction of live rows Adam gathers, updates and scatters only
+# the live rows; at or above it the blocked loop over every row is cheaper.
+# Timing one step at d=128 put the break-even between 0.4 and 0.5 for
+# V = 2k, 20k and 60k (the sweep in BENCH_20.json)
+ADAM_LIVE_FRACTION = 0.4
 
 
 class Adam:
@@ -208,51 +213,90 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(g.values) for g in self.groups]
         self.v = [np.zeros_like(g.values) for g in self.groups]
+        # per group, the rows that have had a gradient since this optimizer
+        # was made; None once every row counts as live. A group of at most
+        # one block counts as live from the start: there the fixed cost of a
+        # gather and scatter is more than the rows it skips
+        self.live = [None if g.values.size <= ADAM_BLOCK_VALUES
+                     else np.zeros(len(g.values), dtype=bool) for g in self.groups]
 
     def zero_grad(self):
         for g in self.groups:
             g.zero_grad()
 
-    def step(self):
-        """One dense update of every group that has a gradient.
+    def _live_rows(self, i, record):
+        """Grow group i's live mask by a gradient's row record; return the
+        live row indices, or None when the group is (now) fully live."""
+        live = self.live[i]
+        if live is None or record is None:
+            self.live[i] = None
+            return None
+        live[np.concatenate(record)] = True
+        rows = np.flatnonzero(live)
+        if len(rows) >= ADAM_LIVE_FRACTION * len(live):
+            self.live[i] = None
+            return None
+        return rows
 
-        Runs in place over row blocks of about ADAM_BLOCK_VALUES values,
-        so each array is streamed once; every element goes through the
-        same operations in the same order as the textbook expression.
+    def step(self):
+        """One update of every group that has a gradient.
+
+        Every element goes through the same operations in the same order as
+        the textbook dense expression, in row blocks of about
+        ADAM_BLOCK_VALUES values. A group's live mask holds the rows a
+        gradient has reached since this optimizer was made (its tensor's
+        `grad_rows` record; a gradient without a record, or a group of at
+        most one block, makes every row live). The mask only grows: a live
+        row's m and v are in general non-zero, so it moves even when its
+        gradient is 0. Any other row has gradient, m and v exactly 0, and
+        its update `data -= 0/(0+eps)` keeps its bits (also for -0.0), so
+        it is skipped. Below ADAM_LIVE_FRACTION live rows, the live rows
+        are gathered, updated and scattered back; at or above it every row
+        is updated in place.
         """
         self.t += 1
-        b1, b2, lr, eps = self.b1, self.b2, self.lr, self.eps
-        c1 = 1 - b1 ** self.t
-        c2 = 1 - b2 ** self.t
-        for g, m, v in zip(self.groups, self.m, self.v):
+        c1 = 1 - self.b1 ** self.t
+        c2 = 1 - self.b2 ** self.t
+        for i, (g, m, v) in enumerate(zip(self.groups, self.m, self.v)):
             grad = g.grad
             if grad is None:
                 continue
             data = g.tensor.data
+            live_rows = self._live_rows(i, g.tensor.grad_rows)
             rows = max(1, ADAM_BLOCK_VALUES // data[0].size)
             num = np.empty_like(data[:rows])
             den = np.empty_like(num)
-            for lo in range(0, len(data), rows):
-                blk = slice(lo, lo + rows)
-                gb, mb, vb, db = grad[blk], m[blk], v[blk], data[blk]
-                tn, td = num[:len(gb)], den[:len(gb)]
-                # m = b1*m + (1-b1)*g
-                np.multiply(gb, 1 - b1, out=tn)
-                mb *= b1
-                mb += tn
-                # v = b2*v + ((1-b2)*g)*g
-                np.multiply(gb, 1 - b2, out=tn)
-                tn *= gb
-                vb *= b2
-                vb += tn
-                # data -= (lr*mhat) / (sqrt(vhat) + eps)
-                np.divide(mb, c1, out=tn)
-                tn *= lr
-                np.divide(vb, c2, out=td)
-                np.sqrt(td, out=td)
-                td += eps
-                tn /= td
-                db -= tn
+            for lo in range(0, len(data if live_rows is None else live_rows), rows):
+                if live_rows is None:
+                    blk = slice(lo, lo + rows)
+                    self._update(grad[blk], m[blk], v[blk], data[blk], num, den, c1, c2)
+                else:
+                    blk = live_rows[lo:lo + rows]
+                    mb, vb, db = m[blk], v[blk], data[blk]
+                    self._update(grad[blk], mb, vb, db, num, den, c1, c2)
+                    m[blk], v[blk], data[blk] = mb, vb, db
+
+    def _update(self, gb, mb, vb, db, num, den, c1, c2):
+        """Adam on one block, in place in mb, vb and db."""
+        b1, b2, lr, eps = self.b1, self.b2, self.lr, self.eps
+        tn, td = num[:len(gb)], den[:len(gb)]
+        # m = b1*m + (1-b1)*g
+        np.multiply(gb, 1 - b1, out=tn)
+        mb *= b1
+        mb += tn
+        # v = b2*v + ((1-b2)*g)*g
+        np.multiply(gb, 1 - b2, out=tn)
+        tn *= gb
+        vb *= b2
+        vb += tn
+        # data -= (lr*mhat) / (sqrt(vhat) + eps)
+        np.divide(mb, c1, out=tn)
+        tn *= lr
+        np.divide(vb, c2, out=td)
+        np.sqrt(td, out=td)
+        td += eps
+        tn /= td
+        db -= tn
 
 
 def train_stage(model, dataset, config, stage="finetune", support_sentences=None,

@@ -3,10 +3,14 @@
 Checkpoint layout: magic "LSNER1", u32 format version, length-prefixed
 JSON header (config echo, vocabulary, taxonomy, seed), then
 length-prefixed named parameter sections of little-endian float64.
-Loading then re-saving is byte-identical.
+Loading then re-saving is byte-identical. A file cut short, or one whose
+parameter names differ from the model its header describes, is refused
+with a ValueError that names the file.
 """
 
+import io
 import json
+import os
 import struct
 
 import numpy as np
@@ -26,9 +30,30 @@ def _write_json(f, obj):
     f.write(blob)
 
 
-def _read_json(f):
-    (n,) = struct.unpack("<I", f.read(4))
-    return json.loads(f.read(n).decode("utf-8"))
+def _read_exact(f, n, path, section):
+    """The next `n` bytes of `f`; fewer left means the file was cut.
+
+    A read longer than one buffer allocates `n` bytes before reading, so a
+    corrupt length field is checked against the bytes left in the file.
+    """
+    if n > io.DEFAULT_BUFFER_SIZE and n > os.fstat(f.fileno()).st_size - f.tell():
+        raise ValueError(f"{path}: truncated {section}")
+    blob = f.read(n)
+    if len(blob) != n:
+        raise ValueError(f"{path}: truncated {section}")
+    return blob
+
+
+def _read_u32(f, path, section):
+    return struct.unpack("<I", _read_exact(f, 4, path, section))[0]
+
+
+def _read_json(f, path):
+    blob = _read_exact(f, _read_u32(f, path, "header"), path, "header")
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except ValueError:
+        raise ValueError(f"{path}: malformed header") from None
 
 
 def _write_matrix(f, name, data):
@@ -41,12 +66,22 @@ def _write_matrix(f, name, data):
     f.write(arr.tobytes())
 
 
-def _read_matrix(f):
-    (n,) = struct.unpack("<I", f.read(4))
-    name = f.read(n).decode("utf-8")
-    rows, cols = struct.unpack("<II", f.read(8))
-    data = np.frombuffer(f.read(rows * cols * 8), dtype="<f8").reshape(rows, cols)
-    return name, data.astype(np.float64)
+def _read_matrix(f, path):
+    name = _read_exact(f, _read_u32(f, path, "section name"), path,
+                       "section name").decode("utf-8", errors="replace")
+    section = f"section {name}"
+    rows, cols = struct.unpack("<II", _read_exact(f, 8, path, section))
+    blob = _read_exact(f, rows * cols * 8, path, section)
+    return name, np.frombuffer(blob, dtype="<f8").reshape(rows, cols).astype(np.float64)
+
+
+def _read_preamble(f, path, magic, what):
+    if f.read(len(magic)) != magic:
+        raise ValueError(f"{path}: not a {what} file")
+    version = _read_u32(f, path, "version")
+    if version != VERSION:
+        raise ValueError(f"{path}: unsupported format version {version}")
+    return _read_json(f, path)
 
 
 def save_checkpoint(model, path):
@@ -68,16 +103,8 @@ def save_checkpoint(model, path):
 
 def load_checkpoint(path):
     with open(path, "rb") as f:
-        if f.read(6) != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
-        header = _read_json(f)
-        arrays = {}
-        for _ in header["params"]:
-            name, data = _read_matrix(f)
-            arrays[name] = data
+        header = _read_preamble(f, path, MAGIC, "checkpoint")
+        arrays = dict(_read_matrix(f, path) for _ in header["params"])
 
     cfg = header["config"]
     # headers written while case-sensitive lookup was an option carry
@@ -92,6 +119,9 @@ def load_checkpoint(path):
         label_pool=cfg["label_pool"], tie_embeddings=cfg["tie_embeddings"],
         caps_feature=cfg["caps_feature"], window=cfg["window"], config=cfg)
     by_name = {g.name: g for g in model.param_groups()}
+    if arrays.keys() != by_name.keys():
+        raise ValueError(f"{path}: unknown parameters {sorted(arrays.keys() - by_name.keys())}, "
+                         f"missing parameters {sorted(by_name.keys() - arrays.keys())}")
     for name, data in arrays.items():
         target = by_name[name]
         if target.values.shape != data.shape:
@@ -110,11 +140,6 @@ def save_label_cache(cache, path):
 
 def load_label_cache(path):
     with open(path, "rb") as f:
-        if f.read(6) != CACHE_MAGIC:
-            raise ValueError(f"{path}: not a label cache file")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
-        header = _read_json(f)
-        _, matrix = _read_matrix(f)
+        header = _read_preamble(f, path, CACHE_MAGIC, "label cache")
+        _, matrix = _read_matrix(f, path)
     return LabelCache(header["taxonomy_hash"], matrix, header["meta"])

@@ -230,6 +230,48 @@ class TestTrain:
         trace = (out / "loss_k1_run0.txt").read_text().splitlines()
         assert sum(l.startswith("finetune") for l in trace) == 1
 
+    @pytest.mark.parametrize("rename", ["original", "misleading", "map"])
+    def test_target_corpus_read_once_without_taxonomy_key(self, workspace, tmp_path,
+                                                          monkeypatch, rename):
+        if rename == "map":
+            rename = f"map:{workspace / 'synonyms.txt'}"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(line + "\n" for line in
+                               (workspace / "run.cfg").read_text().splitlines()
+                               if not line.startswith("taxonomy ")))
+        argv = ["train", "--config", str(cfg), "--k", "1 2", "--repeats", "3",
+                "--rename", rename]
+        reads = []
+
+        def counting_load_conll(path, taxonomy=None):
+            reads.append(Path(path))
+            return load_conll(path, taxonomy=taxonomy)
+
+        monkeypatch.setattr(cli, "load_conll", counting_load_conll)
+        assert main(argv + ["--out", str(tmp_path / "once")]) == 0
+        assert reads.count(workspace / "target_train.conll") == 1
+
+        # the per-run re-read this replaces, kept verbatim as the reference
+        def reference_target_taxonomy(cfg, run_index=0):
+            base = (cli.load_taxonomy(cfg.taxonomy) if cfg.taxonomy is not None
+                    else cli._load_target(cfg, "train").taxonomy)
+            if cfg.rename.startswith("map:"):
+                mapping = dict(cli.load_taxonomy(cfg.rename[4:]).types)
+                return cli.rename_taxonomy(base, "custom", mapping=mapping)
+            rng = np.random.default_rng(cfg.base_seed + cli.RENAME_SEED_OFFSET + run_index)
+            return cli.rename_taxonomy(base, cfg.rename, rng=rng)
+
+        monkeypatch.setattr(cli, "_run_taxonomy", lambda cfg, base: (
+            lambda run_index: reference_target_taxonomy(cfg, run_index)))
+        assert main(argv + ["--out", str(tmp_path / "per_run")]) == 0
+        assert reads.count(workspace / "target_train.conll") == 1 + 1 + 6
+        files = sorted(p.name for p in (tmp_path / "once").iterdir()
+                       if not p.name.startswith("manifest"))
+        assert len(files) == 3 * 2 * 3
+        for name in files:
+            assert (tmp_path / "once" / name).read_bytes() == \
+                (tmp_path / "per_run" / name).read_bytes()
+
 
 class TestEval:
     def test_metrics_and_summary(self, workspace, trained):

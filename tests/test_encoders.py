@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lsner.corpus import LabelTaxonomy, Sentence, expand_tag_labels
-from lsner.encoders import (CONTEXT_BUDGET, MASK_TOKEN, PAD_TOKEN, UNK_TOKEN,
-                            LabelScheme, Vocabulary, build_contextual_label_inputs,
+from lsner.encoders import (CONTEXT_BUDGET, CONTEXTUAL_SCHEMES, MASK_TOKEN, PAD_TOKEN,
+                            UNK_TOKEN, LabelScheme, Vocabulary, build_contextual_label_inputs,
                             build_vocabulary, case_index, encode_labels,
                             encode_tokens, load_static_vectors,
                             select_label_contexts)
@@ -180,6 +180,58 @@ class TestContextualLabelInputs:
                                          np.random.default_rng(0))
         assert set(contexts) == {l.text for l in labels}
         assert contexts["begin location"] == []  # no LOC sentence available
+
+
+def reference_contextual_label_inputs(label, support_sentences, sub, rng):
+    """The builder before span reuse, kept verbatim as the reference: it
+    extracts a sentence's spans once to test eligibility and again for each
+    pick."""
+    from lsner.corpus import extract_spans
+    from lsner.encoders import _replacement
+    if label.original is None:
+        return []
+    eligible = [s for s in support_sentences
+                if any(sp.type == label.original for sp in extract_spans(s.tags))]
+    if not eligible:
+        return []
+    n = min(CONTEXT_BUDGET, len(eligible))
+    picks = rng.choice(len(eligible), size=n, replace=False)
+    name_tokens = label.text.split()[1:]  # strip the begin/inside word
+
+    out = []
+    for p in sorted(int(i) for i in picks):
+        s = eligible[p]
+        spans = [sp for sp in extract_spans(s.tags) if sp.type == label.original]
+        span = spans[int(rng.integers(len(spans)))]
+        tokens = []
+        for i, tok in enumerate(s.tokens):
+            if span.start <= i < span.end:
+                rep = _replacement(sub, i - span.start, name_tokens)
+                tokens.extend([tok] if rep is None else rep)
+            else:
+                tokens.append(tok)
+        out.append(tokens)
+    return out
+
+
+class TestContextsMatchReference:
+    @pytest.mark.parametrize("sub", CONTEXTUAL_SCHEMES)
+    def test_same_contexts_and_draws_as_reference(self, sub):
+        from lsner.synthetic import make_task
+        task = make_task(seed=3, dim=8, n_source=60, n_target_train=40, n_test=5)
+        for dataset in (task.source, task.target_train):
+            labels = expand_tag_labels(dataset.taxonomy)
+            for seed in range(3):
+                sentences = dataset.sentences[seed * 7:]
+                shipped_rng = np.random.default_rng(seed)
+                shipped = select_label_contexts(labels, sentences,
+                                                LabelScheme("contextual", sub), shipped_rng)
+                ref_rng = np.random.default_rng(seed)
+                reference = {label.text: reference_contextual_label_inputs(
+                    label, sentences, sub, ref_rng) for label in labels}
+                assert shipped == reference
+                assert any(reference.values())
+                assert shipped_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestContextualEncoding:

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsner import autodiff as ad
+from lsner import matcher
 from lsner.corpus import LabelTaxonomy, Sentence, rename_taxonomy
 from lsner.encoders import build_vocabulary
-from lsner.matcher import (ADAM_BLOCK_VALUES, Adam, TrainingConfig,
-                           build_label_cache, gold_indices, init_model,
+from lsner.matcher import (ADAM_BLOCK_VALUES, ADAM_LIVE_FRACTION, Adam,
+                           TrainingConfig, build_label_cache, gold_indices, init_model,
                            label_matrix, predict_tags, score_tokens,
                            sentence_loss, taxonomy_hash, train_stage,
                            run_two_stage)
@@ -57,6 +60,43 @@ def dense_adam_step(opt):
             opt.m[i], opt.v[i] = dense_adam_update(
                 g.tensor.data, opt.m[i], opt.v[i], g.grad, opt.t, opt.lr,
                 opt.b1, opt.b2, opt.eps)
+
+
+def live_row_reads(rows):
+    """One read of table 0 or 1 in a step: a gather (rows may repeat), one
+    row read twice whose gradients cancel, or a whole-table read through
+    `_accum`."""
+    row = st.integers(0, rows - 1)
+    table = st.integers(0, 1)
+    return st.one_of(
+        st.tuples(st.just("gather"), table, st.lists(row, min_size=1, max_size=8)),
+        st.tuples(st.just("gather"), table, row.map(lambda r: [r])),
+        st.tuples(st.just("cancel"), table, row.map(lambda r: [r, r])),
+        st.tuples(st.just("accum"), table, st.just(None)))
+
+
+@st.composite
+def live_row_cases(draw):
+    """Tables of 1-300 rows and 1-64 columns, tied or not, some rows -0.0,
+    and up to 6 steps of 0-4 reads each (an empty step gives no gradient)."""
+    rows = draw(st.integers(1, 300))
+    dim = draw(st.integers(1, 64))
+    tied = draw(st.booleans())
+    negative_zero_rows = draw(st.lists(st.integers(0, rows - 1), max_size=4))
+    steps = draw(st.lists(st.lists(live_row_reads(rows), max_size=4),
+                          min_size=1, max_size=6))
+    return rows, dim, tied, negative_zero_rows, steps, draw(st.integers(0, 2 ** 16))
+
+
+def _live_row_loss(tables, reads, draws):
+    """Sum of each read's values times fixed weights, so every gradient is
+    the weights themselves."""
+    loss = None
+    for (kind, which, idx), w in zip(reads, draws):
+        x = tables[which] if kind == "accum" else ad.take_rows(tables[which], idx)
+        term = ad.sum_all(ad.mul(x, Tensor(w)))
+        loss = term if loss is None else ad.add(loss, term)
+    return loss
 
 
 class TestScoring:
@@ -130,6 +170,68 @@ class TestAdam:
         Adam([g]).step()
         np.testing.assert_array_equal(g.values, before)
 
+    @given(live_row_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_live_rows_match_dense_reference_bitwise(self, case):
+        # blocks of 64 values: the drawn tables span several blocks, and only
+        # those of at most one block start out fully live
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matcher, "ADAM_BLOCK_VALUES", 64)
+            self.check_live_rows_against_reference(*case)
+
+    def check_live_rows_against_reference(self, rows, dim, tied, negative_zero_rows,
+                                          steps, seed):
+        rng = np.random.default_rng(seed)
+        init = [rng.normal(size=(rows, dim)) for _ in range(2)]
+        for table in init:
+            table[negative_zero_rows] = -0.0
+
+        def optimizer():
+            tensors = [Tensor(init[0].copy())]
+            tensors.append(tensors[0] if tied else Tensor(init[1].copy()))
+            groups = [ParamGroup(f"t{i}", t)
+                      for i, t in enumerate(tensors[:1] if tied else tensors)]
+            return tensors, Adam(groups, lr=0.05)
+
+        (shipped_tables, shipped), (ref_tables, ref) = optimizer(), optimizer()
+        weights = np.random.default_rng(seed + 1)
+        # None once fully live
+        expected = [None if rows * dim <= 64 else set() for _ in shipped.groups]
+        for reads in steps:
+            draws = []
+            for kind, _, idx in reads:
+                w = weights.normal(size=(rows, dim) if kind == "accum" else (len(idx), dim))
+                if kind == "cancel":
+                    w[1] = -w[0]
+                draws.append(w)
+            for tables, opt in ((shipped_tables, shipped), (ref_tables, ref)):
+                opt.zero_grad()
+                if reads:
+                    _live_row_loss(tables, reads, draws).backward()
+            for i, g in enumerate(shipped.groups):
+                touched = [(kind, idx) for kind, which, idx in reads
+                           if shipped_tables[which] is g.tensor]
+                if expected[i] is None or not touched:
+                    continue
+                if any(kind == "accum" for kind, _ in touched):
+                    expected[i] = None
+                    continue
+                expected[i].update(r for _, idx in touched for r in idx)
+                if len(expected[i]) >= ADAM_LIVE_FRACTION * rows:
+                    expected[i] = None
+            shipped.step()
+            dense_adam_step(ref)
+            for i, g in enumerate(shipped.groups):
+                assert g.values.tobytes() == ref.groups[i].values.tobytes()
+                assert shipped.m[i].tobytes() == ref.m[i].tobytes()
+                assert shipped.v[i].tobytes() == ref.v[i].tobytes()
+                live = shipped.live[i]
+                if expected[i] is None:
+                    assert live is None
+                else:
+                    assert live is not None
+                    assert set(np.flatnonzero(live).tolist()) == expected[i]
+
 
 class TestTrainingConfig:
     def test_validation(self):
@@ -163,12 +265,17 @@ class TestTrainStage:
             results.append(param_bytes(m))
         assert results[0] == results[1]
 
-    def test_kernels_match_dense_reference_bitwise(self, tiny_dataset, monkeypatch):
-        # at dim 32 a gradient copied in Fortran order changes BLAS results
+    @pytest.mark.parametrize("unused_tokens", [0, 2000], ids=["dense", "live-rows"])
+    def test_kernels_match_dense_reference_bitwise(self, tiny_dataset, monkeypatch,
+                                                   unused_tokens):
+        # at dim 32 a gradient copied in Fortran order changes BLAS results;
+        # tokens no sentence uses keep the embedding's live rows below the
+        # crossover, so the optimizer takes its gather-and-scatter path
         def train():
             vocab = build_vocabulary(tiny_dataset.sentences,
                                      extra_tokens=["begin", "inside", "other",
-                                                   "person", "location"])
+                                                   "person", "location"] +
+                                     [f"unused{i}" for i in range(unused_tokens)])
             m = init_model(vocab, tiny_dataset.taxonomy, dim=32, seed=5,
                            token_ctx="self-attention", tie_embeddings=True,
                            caps_feature=True)
@@ -176,7 +283,22 @@ class TestTrainStage:
                 finetune_epochs=20, batch_size=2, seed=2))
             return param_bytes(m), trace
 
+        made = []
+
+        class RecordingAdam(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(matcher, "Adam", RecordingAdam)
         shipped = train()
+        (opt,) = made
+        assert opt.groups[0].name == "embedding"
+        live = opt.live[0]
+        if unused_tokens:
+            assert 0 < live.sum() < ADAM_LIVE_FRACTION * len(live)
+        else:
+            assert live is None
         monkeypatch.setattr(ad, "_accum", dense_accum)
         monkeypatch.setattr(ad, "take_rows", dense_take_rows)
         monkeypatch.setattr(Adam, "step", dense_adam_step)
