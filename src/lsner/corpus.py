@@ -126,6 +126,12 @@ class Dataset:
         return np.bincount(np.array(cells, dtype=np.intp), minlength=n * len(column)
                            ).reshape((n, len(column)), order="F")
 
+    @functools.cached_property
+    def type_sentences(self):
+        """Per type, in taxonomy order, the ascending indices of the
+        sentences that contain it; built from `type_counts` on first use."""
+        return [np.flatnonzero(column) for column in self.type_counts.T]
+
 
 def infer_natural_name(original):
     """Default natural-language form when no taxonomy file is given."""

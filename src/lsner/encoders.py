@@ -34,7 +34,8 @@ class Vocabulary:
     def __post_init__(self):
         if not self.index:
             self.index = {t: i for i, t in enumerate(self.tokens)}
-        assert UNK_TOKEN in self.index
+        if UNK_TOKEN not in self.index:
+            raise ValueError(f"vocabulary has no {UNK_TOKEN} token")
 
     def __len__(self):
         return len(self.tokens)

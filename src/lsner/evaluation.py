@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 
 from .corpus import extract_spans, repair_bio
-from .matcher import predict_tags
+from .matcher import build_label_cache, predict_tags
 
 
 @dataclass
@@ -70,7 +70,14 @@ def per_type_f1(gold, pred, taxonomy):
 
 
 def evaluate_dataset(model, dataset, cache=None):
-    """predict -> repair -> extract spans -> micro F1 over a dataset."""
+    """predict -> repair -> extract spans -> micro F1 over a dataset.
+
+    Without a label cache the labels are encoded once for the call
+    (`build_label_cache`): the computation `predict_tags` would otherwise
+    repeat for every sentence, so the result is the same.
+    """
+    if cache is None:
+        cache = build_label_cache(model)
     gold = []
     pred = []
     violations = 0

@@ -14,9 +14,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import expand_tag_labels, surface_tag
-from .encoders import (LabelEncoderParams, LabelScheme, TokenEncoderParams,
+from .encoders import (N_CASES, LabelEncoderParams, LabelScheme, TokenEncoderParams,
                        encode_labels, encode_tokens, select_label_contexts)
-from .numeric import ParamGroup, init_contextualizer, on_arrays, token_cross_entropy
+from .numeric import (ParamGroup, contextualizer_shapes, init_contextualizer, on_arrays,
+                      token_cross_entropy)
 
 
 @dataclass
@@ -90,13 +91,18 @@ def taxonomy_hash(taxonomy):
 
 def init_model(vocab, taxonomy, dim=32, seed=0, token_ctx="self-attention",
                label_ctx="identity", label_pool=None, tie_embeddings=True,
-               caps_feature=True, window=2, static_table=None, config=None):
+               caps_feature=True, window=2, static_table=None):
     """Build a fresh ModelState.
 
     `label_pool` defaults to "first" for a learned label contextualizer
     and "max" for the static-vector style (identity contextualizer).
     `static_table` optionally seeds the embedding table.
     """
+    if label_pool is None:
+        label_pool = "max" if label_ctx == "identity" else "first"
+    config = {"dim": dim, "token_ctx": token_ctx, "label_ctx": label_ctx,
+              "label_pool": label_pool, "tie_embeddings": tie_embeddings,
+              "caps_feature": caps_feature, "window": window}
     rng = np.random.default_rng(seed)
     if static_table is not None:
         table = np.asarray(static_table, dtype=float)
@@ -104,38 +110,61 @@ def init_model(vocab, taxonomy, dim=32, seed=0, token_ctx="self-attention",
             raise ValueError(f"static table shape {table.shape} != {(len(vocab), dim)}")
     else:
         table = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(len(vocab), dim))
-    embedding = ParamGroup("embedding", Tensor(table))
+    arrays = {"embedding": table}
+    arrays.update((g.name, g.values) for g in
+                  init_contextualizer(token_ctx, dim, rng, prefix="tok").values())
+    if caps_feature:
+        arrays["caps"] = np.zeros((N_CASES, dim))
+    if not tie_embeddings:
+        arrays["label_embedding"] = rng.normal(0.0, 1.0 / np.sqrt(dim),
+                                               size=(len(vocab), dim))
+    arrays.update((g.name, g.values) for g in
+                  init_contextualizer(label_ctx, dim, rng, prefix="lab").values())
+    return model_from_arrays(vocab, taxonomy, config, seed, arrays)
+
+
+def model_from_arrays(vocab, taxonomy, config, seed, arrays):
+    """A ModelState whose parameters are `arrays` (name -> float64 array),
+    each wrapped as it is, without a copy.
+
+    `config` holds dim, token_ctx, label_ctx, label_pool, tie_embeddings,
+    caps_feature and window, and may hold more keys; the model keeps a copy
+    of it. The names and shapes `arrays` must have follow from `config` and
+    the vocabulary size; a tied model has no "label_embedding", both
+    encoders share the one "embedding" group. Raises ValueError when a name
+    is unknown or missing, or a shape differs.
+    """
+    dim, window = config["dim"], config["window"]
+    # in param_groups() order
+    shapes = {"embedding": (len(vocab), dim)}
+    shapes.update((f"tok.{name}", shape) for name, shape in
+                  contextualizer_shapes(config["token_ctx"], dim).items())
+    if config["caps_feature"]:
+        shapes["caps"] = (N_CASES, dim)
+    if not config["tie_embeddings"]:
+        shapes["label_embedding"] = (len(vocab), dim)
+    shapes.update((f"lab.{name}", shape) for name, shape in
+                  contextualizer_shapes(config["label_ctx"], dim).items())
+    if arrays.keys() != shapes.keys():
+        raise ValueError(f"unknown parameters {sorted(arrays.keys() - shapes.keys())}, "
+                         f"missing parameters {sorted(shapes.keys() - arrays.keys())}")
+    groups = {}
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"shape mismatch for {name}")
+        groups[name] = ParamGroup(name, Tensor(arrays[name]))
+
+    def ctx_params(prefix):
+        return {name[len(prefix):]: g for name, g in groups.items() if name.startswith(prefix)}
 
     token_params = TokenEncoderParams(
-        dim=dim, embedding=embedding,
-        ctx_kind=token_ctx,
-        ctx_params=init_contextualizer(token_ctx, dim, rng, prefix="tok"),
-        caps=ParamGroup("caps", Tensor(np.zeros((4, dim)))) if caps_feature else None,
-        window=window)
-
-    if tie_embeddings:
-        label_embedding = embedding
-    else:
-        label_embedding = ParamGroup(
-            "label_embedding",
-            Tensor(rng.normal(0.0, 1.0 / np.sqrt(dim), size=(len(vocab), dim))))
-    if label_pool is None:
-        label_pool = "max" if label_ctx == "identity" else "first"
+        dim=dim, embedding=groups["embedding"], ctx_kind=config["token_ctx"],
+        ctx_params=ctx_params("tok."), caps=groups.get("caps"), window=window)
     label_params = LabelEncoderParams(
-        dim=dim, embedding=label_embedding,
-        ctx_kind=label_ctx,
-        ctx_params=init_contextualizer(label_ctx, dim, rng, prefix="lab"),
-        pool=label_pool, window=window)
-
-    model = ModelState(vocab, token_params, label_params, seed=seed,
-                       config=dict(config or {}))
-    model.config.setdefault("dim", dim)
-    model.config.setdefault("token_ctx", token_ctx)
-    model.config.setdefault("label_ctx", label_ctx)
-    model.config.setdefault("label_pool", label_pool)
-    model.config.setdefault("tie_embeddings", tie_embeddings)
-    model.config.setdefault("caps_feature", caps_feature)
-    model.config.setdefault("window", window)
+        dim=dim, embedding=groups.get("label_embedding", groups["embedding"]),
+        ctx_kind=config["label_ctx"], ctx_params=ctx_params("lab."),
+        pool=config["label_pool"], window=window)
+    model = ModelState(vocab, token_params, label_params, seed=seed, config=dict(config))
     model.set_taxonomy(taxonomy)
     return model
 

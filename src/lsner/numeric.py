@@ -106,29 +106,34 @@ def sinusoidal_positions(length, dim):
     return table
 
 
-def init_contextualizer(kind, dim, rng, prefix="ctx"):
-    """Create the ParamGroups a contextualizer of the given kind needs."""
+def contextualizer_shapes(kind, dim):
+    """Name -> shape of each array a contextualizer of the given kind needs,
+    in the order `init_contextualizer` draws them."""
     if kind not in CONTEXTUALIZER_KINDS:
         raise ValueError(f"unknown contextualizer kind {kind!r}")
-    params = {}
-
-    def group(name, shape, std):
-        t = Tensor(rng.normal(0.0, std, size=shape))
-        params[name] = ParamGroup(f"{prefix}.{name}", t)
-
     if kind == "window-mixer":
-        # identity on the token block keeps the embedding prior at init
-        mix = np.zeros((3 * dim, dim))
-        mix[:dim] = np.eye(dim)
-        mix[dim:] = rng.normal(0.0, 0.1 / np.sqrt(dim), size=(2 * dim, dim))
-        params["mix"] = ParamGroup(f"{prefix}.mix", Tensor(mix))
-    elif kind == "self-attention":
-        std = 1.0 / np.sqrt(dim)
-        group("wq", (dim, dim), std)
-        group("wk", (dim, dim), std)
-        group("wv", (dim, dim), std)
-        # small output map keeps the residual branch dominant at init
-        group("wo", (dim, dim), 0.1 * std)
+        return {"mix": (3 * dim, dim)}
+    if kind == "self-attention":
+        return dict.fromkeys(("wq", "wk", "wv", "wo"), (dim, dim))
+    return {}
+
+
+def init_contextualizer(kind, dim, rng, prefix="ctx"):
+    """Create the ParamGroups a contextualizer of the given kind needs."""
+    params = {}
+    for name, shape in contextualizer_shapes(kind, dim).items():
+        if name == "mix":
+            # identity on the token block keeps the embedding prior at init
+            data = np.zeros(shape)
+            data[:dim] = np.eye(dim)
+            data[dim:] = rng.normal(0.0, 0.1 / np.sqrt(dim), size=(2 * dim, dim))
+        else:
+            std = 1.0 / np.sqrt(dim)
+            if name == "wo":
+                # small output map keeps the residual branch dominant at init
+                std = 0.1 * std
+            data = rng.normal(0.0, std, size=shape)
+        params[name] = ParamGroup(f"{prefix}.{name}", Tensor(data))
     return params
 
 

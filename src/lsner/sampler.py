@@ -6,9 +6,10 @@ occurrences; (2) removing any single sentence breaks (1) for some type.
 
 The sampler keeps counts as int vectors over the taxonomy's types and reads
 each sentence's row of `Dataset.type_counts`, the sentence × type matrix
-that a Dataset builds once and caches. `verify_kshot` does not read that
-matrix: it counts the support's own sentences with `extract_spans`, so it
-stays an independent check of the sampler.
+that a Dataset builds once and caches; it draws from
+`Dataset.type_sentences`, each type's sentence indices, cached beside it.
+`verify_kshot` reads neither: it counts the support's own sentences with
+`extract_spans`, so it stays an independent check of the sampler.
 """
 
 from collections import Counter
@@ -75,7 +76,8 @@ def sample_support(dataset, k, rng):
         if counts[j] >= k:
             continue
         # unused sentences containing the label, ascending; a pick leaves the list
-        candidates = np.flatnonzero((per_sentence[:, j] > 0) & ~used).tolist()
+        containing = dataset.type_sentences[j]
+        candidates = containing[~used[containing]].tolist()
         while counts[j] < k:
             if not candidates:
                 raise SamplingError(f"ran out of sentences containing {label!r}")

@@ -34,7 +34,7 @@ class TestVocabulary:
         assert "begin" in vocab.index
 
     def test_requires_unk(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="vocabulary has no <unk> token"):
             Vocabulary(["a", "b"])
 
 

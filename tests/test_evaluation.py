@@ -5,11 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from lsner.corpus import EntitySpan, LabelTaxonomy, Sentence, Dataset
-from lsner.evaluation import (PRF, aggregate_runs, evaluate_dataset,
+from lsner import evaluation, matcher
+from lsner.corpus import (EntitySpan, LabelTaxonomy, Sentence, Dataset, extract_spans,
+                          repair_bio)
+from lsner.encoders import build_vocabulary, encode_labels
+from lsner.evaluation import (PRF, EvalResult, aggregate_runs, evaluate_dataset,
                               format_record, micro_f1, per_type_f1,
                               result_record)
-from lsner import evaluation
+from lsner.matcher import (TrainingConfig, build_label_cache, init_model, predict_tags,
+                           train_stage)
+from lsner.numeric import CONTEXTUALIZER_KINDS
 
 
 def spans(*triples):
@@ -55,25 +60,27 @@ class TestPerType:
 
 
 class TestEvaluateDataset:
-    def test_perfect_and_zero_models(self, tiny_dataset, monkeypatch):
+    # predictions are stubbed; the model only feeds the one label encode
+    def test_perfect_and_zero_models(self, tiny_dataset, small_model, monkeypatch):
         monkeypatch.setattr(evaluation, "predict_tags",
                             lambda model, s, cache=None: list(s.tags))
-        result = evaluate_dataset(object(), tiny_dataset)
+        result = evaluate_dataset(small_model, tiny_dataset)
         assert result.overall.f1 == pytest.approx(1.0)
         assert result.violations == 0
 
         monkeypatch.setattr(evaluation, "predict_tags",
                             lambda model, s, cache=None: ["O"] * len(s))
-        result = evaluate_dataset(object(), tiny_dataset)
+        result = evaluate_dataset(small_model, tiny_dataset)
         assert result.overall.f1 == 0.0
         assert result.overall.fn == 7  # every gold entity missed
 
-    def test_violations_counted_and_repaired(self, two_type_taxonomy, monkeypatch):
+    def test_violations_counted_and_repaired(self, two_type_taxonomy, small_model,
+                                             monkeypatch):
         ds = Dataset("d", [Sentence(["a", "b"], ["B-PER", "O"])],
                      two_type_taxonomy)
         monkeypatch.setattr(evaluation, "predict_tags",
                             lambda model, s, cache=None: ["I-PER", "O"])
-        result = evaluate_dataset(object(), ds)
+        result = evaluate_dataset(small_model, ds)
         assert result.violations == 1
         assert result.overall.f1 == pytest.approx(1.0)  # repaired to B-PER
 
@@ -105,3 +112,42 @@ class TestRecords:
         assert "dataset=d" in record and "k=5" in record and "seed=7" in record
         assert "f1=0.666667" in record and "violations=3" in record
         assert "f1[PER]=1.000000" in record
+
+
+class TestSingleLabelEncode:
+    """An uncached evaluation encodes the labels once, not once per sentence."""
+
+    @pytest.fixture(params=CONTEXTUALIZER_KINDS)
+    def model(self, request, tiny_dataset):
+        vocab = build_vocabulary(tiny_dataset.sentences,
+                                 extra_tokens=["begin", "inside", "other", "person", "location"])
+        model = init_model(vocab, tiny_dataset.taxonomy, dim=8, seed=2, window=1,
+                           token_ctx=request.param, label_ctx=request.param)
+        train_stage(model, tiny_dataset, TrainingConfig(finetune_epochs=3))
+        return model
+
+    def test_uncached_equals_cached_and_per_sentence_labels(self, model, tiny_dataset):
+        plain = evaluate_dataset(model, tiny_dataset)
+        assert plain == evaluate_dataset(model, tiny_dataset, cache=build_label_cache(model))
+        # the loop that encoded the labels again for every sentence
+        gold, pred, violations = [], [], 0
+        for sentence in tiny_dataset.sentences:
+            repaired, v = repair_bio(predict_tags(model, sentence))
+            violations += v
+            gold.append(extract_spans(sentence.tags))
+            pred.append(extract_spans(repaired))
+        assert plain == EvalResult(micro_f1(gold, pred),
+                                   per_type_f1(gold, pred, tiny_dataset.taxonomy), violations)
+
+    def test_one_label_encode_per_uncached_call(self, model, tiny_dataset, monkeypatch):
+        cache = build_label_cache(model)
+        calls = []
+
+        def counting_encode_labels(*args, **kwargs):
+            calls.append(args)
+            return encode_labels(*args, **kwargs)
+        monkeypatch.setattr(matcher, "encode_labels", counting_encode_labels)
+        evaluate_dataset(model, tiny_dataset)
+        assert len(calls) == 1
+        evaluate_dataset(model, tiny_dataset, cache=cache)
+        assert len(calls) == 1

@@ -218,6 +218,14 @@ class TestMatchesReference:
             assert dict(zip(dataset.taxonomy.originals(), row.tolist())) == \
                 count_entity_occurrences([sentence], dataset.taxonomy)
 
+    @given(bio_corpora())
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_type_sentences_list_each_types_rows(self, dataset):
+        counts = dataset.type_counts
+        assert len(dataset.type_sentences) == counts.shape[1]
+        for j, rows in enumerate(dataset.type_sentences):
+            assert rows.tolist() == [i for i in range(len(counts)) if counts[i, j] > 0]
+
     def test_type_counts_belong_to_the_instance(self, tiny_dataset):
         three = LabelTaxonomy(tiny_dataset.taxonomy.types + [("ORG", "organization")])
         assert tiny_dataset.type_counts.shape == (5, 2)
