@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .corpus import (RENAME_MODES, Sentence, conll_sentences, load_conll,
                      load_taxonomy, rename_taxonomy)
-from .encoders import LabelScheme, build_vocabulary, load_static_vectors
+from .encoders import LabelScheme, build_vocabulary, load_static_vectors, static_table
 from .evaluation import aggregate_runs, evaluate_dataset, result_record
 from .matcher import TrainingConfig, build_label_cache, init_model, predict_tags, run_two_stage
 from .numeric import CONTEXTUALIZER_KINDS
@@ -48,10 +48,6 @@ def config_entries(path):
                 raise CliError(f"{path}:{lineno}: expected key = value")
             key, value = line.split("=", 1)
             yield lineno, key.strip(), value.strip()
-
-
-def read_config(path):
-    return {key: value for _, key, value in config_entries(path)}
 
 
 def _one_of(*choices):
@@ -241,22 +237,23 @@ def cmd_sample(cfg, args):
                    [cfg.target_train, cfg.taxonomy], outputs, failures)
 
 
-def _build_model_for_run(cfg, source, target, taxonomy, train_seed):
+def _build_model_for_run(cfg, source, target, taxonomy, train_seed, vectors):
+    """A fresh model for one run; `vectors` (token -> vector, or None) seeds
+    the embedding table."""
     extra = ["begin", "inside", "other"]
     for tax in ([source.taxonomy] if source else []) + [taxonomy]:
         for _, natural in tax.types:
             extra.extend(natural.split())
     sentences = (source.sentences if source else []) + target.sentences
     vocab = build_vocabulary(sentences, min_freq=cfg.min_freq, extra_tokens=extra)
-    static_table = None
-    if cfg.static_vectors:
-        rng = np.random.default_rng(train_seed)
-        static_table, coverage = load_static_vectors(cfg.static_vectors, vocab, cfg.dim, rng)
+    table = None
+    if vectors is not None:
+        table, coverage = static_table(vectors, vocab, cfg.dim, np.random.default_rng(train_seed))
         print(f"static vector coverage: {coverage:.3f}")
     return init_model(vocab, taxonomy, dim=cfg.dim, seed=train_seed,
                       token_ctx=cfg.token_ctx, label_ctx=cfg.label_ctx,
                       tie_embeddings=cfg.tie_embeddings,
-                      caps_feature=cfg.caps_feature, static_table=static_table)
+                      caps_feature=cfg.caps_feature, static_table=table)
 
 
 def _reused_support(path, target, k):
@@ -285,6 +282,7 @@ def cmd_train(cfg, args):
         source.role = "source"
     target = _load_target(cfg, "train")
     run_taxonomy = _run_taxonomy(cfg, target.taxonomy)
+    vectors = load_static_vectors(cfg.static_vectors, cfg.dim) if cfg.static_vectors else None
 
     outputs, failures = [], []
     for k in cfg.k:
@@ -302,7 +300,7 @@ def cmd_train(cfg, args):
                     outputs.append(support_path)
                 taxonomy = run_taxonomy(i)
                 renamed_target = dataclasses.replace(target, taxonomy=taxonomy)
-                model = _build_model_for_run(cfg, source, target, taxonomy, train_seed)
+                model = _build_model_for_run(cfg, source, target, taxonomy, train_seed, vectors)
                 tconf = TrainingConfig(
                     learning_rate=cfg.lr, batch_size=cfg.batch_size, seed=train_seed,
                     prefinetune_epochs=cfg.prefinetune_epochs,

@@ -87,12 +87,6 @@ class LabelTaxonomy:
     def originals(self):
         return [orig for orig, _ in self.types]
 
-    def natural(self, original):
-        for orig, nat in self.types:
-            if orig == original:
-                return nat
-        raise KeyError(original)
-
 
 @dataclass
 class Dataset:

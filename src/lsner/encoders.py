@@ -6,6 +6,7 @@ The label side supports the plain name-only representation and the
 contextual schemes that substitute the label name into support sentences.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,11 +30,10 @@ CONTEXT_BUDGET = 10
 @dataclass
 class Vocabulary:
     tokens: list
-    index: dict = field(default_factory=dict, repr=False)
+    index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {t: i for i, t in enumerate(self.tokens)}
+        self.index = {t: i for i, t in enumerate(self.tokens)}
         if UNK_TOKEN not in self.index:
             raise ValueError(f"vocabulary has no {UNK_TOKEN} token")
 
@@ -50,27 +50,11 @@ def build_vocabulary(sentences, min_freq=1, extra_tokens=()):
     Label-name words should be passed through `extra_tokens` so the label
     encoder never hits <unk> on its own names.
     """
-    from collections import Counter
-    counts = Counter()
-    for s in sentences:
-        for tok in s.tokens:
-            counts[tok.lower()] += 1
-    tokens = [PAD_TOKEN, UNK_TOKEN, MASK_TOKEN]
-    for tok, c in counts.items():
-        if c >= min_freq:
-            tokens.append(tok)
-    for tok in extra_tokens:
-        tok = tok.lower()
-        if tok not in tokens[3:] and tok not in (PAD_TOKEN, UNK_TOKEN, MASK_TOKEN):
-            tokens.append(tok)
-    # dedupe preserving first occurrence
-    seen = set()
-    uniq = []
-    for tok in tokens:
-        if tok not in seen:
-            seen.add(tok)
-            uniq.append(tok)
-    return Vocabulary(uniq)
+    counts = Counter(tok.lower() for s in sentences for tok in s.tokens)
+    frequent = [tok for tok, c in counts.items() if c >= min_freq]
+    # first occurrence wins, so the special tokens keep ids 0-2
+    return Vocabulary(list(dict.fromkeys(
+        [PAD_TOKEN, UNK_TOKEN, MASK_TOKEN] + frequent + [tok.lower() for tok in extra_tokens])))
 
 
 # capitalization feature classes: lower, title, upper, other
@@ -250,11 +234,11 @@ def encode_labels(labels, params, vocab, scheme=None, contexts=None):
     return ad.stack_rows(rows)
 
 
-def load_static_vectors(path, vocab, dim, rng):
-    """Initialize an embedding table from a plain-text vector file.
+def load_static_vectors(path, dim):
+    """Read a plain-text vector file: one token and `dim` numbers a line.
 
-    Returns (table, coverage). Tokens absent from the file get the
-    standard random init; the table stays trainable either way.
+    Returns token -> vector. A malformed line raises ValueError naming
+    ``path:line``.
     """
     vectors = {}
     with open(path, encoding="utf-8") as f:
@@ -266,8 +250,19 @@ def load_static_vectors(path, vocab, dim, rng):
             if len(values) != dim:
                 raise ValueError(
                     f"{path}:{lineno}: vector has {len(values)} dims, expected {dim}")
-            vectors[token] = np.array([float(v) for v in values])
+            try:
+                vectors[token] = np.array([float(v) for v in values])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return vectors
 
+
+def static_table(vectors, vocab, dim, rng):
+    """Embedding table for `vocab` seeded from `vectors` (token -> vector).
+
+    Returns (table, coverage). Tokens without a vector get the standard
+    random init; the table stays trainable either way.
+    """
     table = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(len(vocab), dim))
     covered = 0
     for i, token in enumerate(vocab.tokens):

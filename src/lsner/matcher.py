@@ -16,8 +16,7 @@ from .autodiff import Tensor
 from .corpus import expand_tag_labels, surface_tag
 from .encoders import (N_CASES, LabelEncoderParams, LabelScheme, TokenEncoderParams,
                        encode_labels, encode_tokens, select_label_contexts)
-from .numeric import (ParamGroup, contextualizer_shapes, init_contextualizer, on_arrays,
-                      token_cross_entropy)
+from .numeric import ParamGroup, contextualizer_shapes, init_contextualizer, token_cross_entropy
 
 
 @dataclass
@@ -170,12 +169,7 @@ def model_from_arrays(vocab, taxonomy, config, seed, arrays):
 
 
 def score_tokens(e, b):
-    """Raw dot-product logits, T x L. No temperature, no bias.
-
-    Takes two Tensors, or two plain arrays and returns an array.
-    """
-    if not isinstance(e, Tensor):
-        return on_arrays(score_tokens, e, b)
+    """Raw dot-product logits of two Tensors, T x L. No temperature, no bias."""
     if e.data.shape[1] != b.data.shape[1]:
         raise ValueError(
             f"dimension mismatch: tokens {e.data.shape} vs labels {b.data.shape}")
@@ -212,10 +206,10 @@ def gold_indices(sentence, tag_labels):
     return [by_surface[t] for t in sentence.tags]
 
 
-def sentence_loss(model, sentence, labels=None, scheme=None, contexts=None):
+def sentence_loss(model, sentence, labels=None):
     """Cross-entropy of one sentence; gradients reach both encoders."""
     if labels is None:
-        labels = label_matrix(model, scheme=scheme, contexts=contexts)
+        labels = label_matrix(model)
     e = encode_tokens(sentence, model.token_params, model.vocab)
     logits = score_tokens(e, labels)
     return token_cross_entropy(logits, gold_indices(sentence, model.tag_labels))
@@ -382,7 +376,7 @@ def train_stage(model, dataset, config, stage="finetune", support_sentences=None
     return trace
 
 
-def run_two_stage(model, source, target_support, config, trace_hook=None):
+def run_two_stage(model, source, target_support, config):
     """Pre-finetune on the source (if any), then finetune on the support.
 
     Only the tagging-label list changes at the stage boundary; no
@@ -390,19 +384,14 @@ def run_two_stage(model, source, target_support, config, trace_hook=None):
     """
     traces = {}
     if source is not None:
-        traces["prefinetune"] = train_stage(model, source, config,
-                                            stage="prefinetune",
-                                            trace_hook=trace_hook)
-    traces["finetune"] = train_stage(model, target_support, config,
-                                     stage="finetune",
-                                     support_sentences=target_support.sentences,
-                                     trace_hook=trace_hook)
+        traces["prefinetune"] = train_stage(model, source, config, stage="prefinetune")
+    traces["finetune"] = train_stage(model, target_support, config, stage="finetune",
+                                     support_sentences=target_support.sentences)
     return traces
 
 
-def build_label_cache(model, scheme=None, contexts=None, meta=None):
+def build_label_cache(model):
     """Freeze the current label representations for cached inference."""
     with ad.no_grad():
-        matrix = label_matrix(model, scheme=scheme, contexts=contexts).data.copy()
-    return LabelCache(model.taxonomy_digest, matrix,
-                      dict(meta or {"seed": model.seed}))
+        matrix = label_matrix(model).data.copy()
+    return LabelCache(model.taxonomy_digest, matrix, {"seed": model.seed})

@@ -1,9 +1,8 @@
 """Dense numeric operations shared by both encoders.
 
-Each operation has one implementation, on autodiff Tensors. A plain
-numpy array is also accepted: it is wrapped into a Tensor under
-`no_grad()` and the result comes back as an array (`on_arrays`), so the
-same forward code serves training and plain-array unit checks.
+Each operation takes and returns autodiff Tensors, so training and
+inference run the same code; under `no_grad()` no tape is recorded.
+`softmax_rows` alone also takes a plain array and returns one.
 Tie-breaking is always lowest-index; softmax is always max-subtracted.
 """
 
@@ -42,16 +41,6 @@ class ParamGroup:
         self.tensor.zero_grad()
 
 
-def on_arrays(op, *arrays, **kwargs):
-    """Run Tensor op `op` on plain arrays without recording a tape.
-
-    Returns the result as a new array, or as a float when it is a scalar.
-    """
-    with ad.no_grad():
-        out = op(*(Tensor(np.asarray(a, dtype=float)) for a in arrays), **kwargs).data
-    return float(out) if out.ndim == 0 else out.copy()
-
-
 def _check_finite(data, what):
     bad = ~np.isfinite(data)
     if bad.any():
@@ -60,9 +49,10 @@ def _check_finite(data, what):
 
 
 def softmax_rows(m):
-    """Row-wise stable softmax. Accepts a 2-D array or Tensor."""
+    """Row-wise stable softmax of a 2-D Tensor; a plain array gives an array."""
     if not isinstance(m, Tensor):
-        return on_arrays(softmax_rows, m)
+        with ad.no_grad():
+            return softmax_rows(Tensor(np.asarray(m, dtype=float))).data
     _check_finite(m.data, "softmax_rows")
     return ad.softmax_rows_t(m)
 
@@ -70,10 +60,8 @@ def softmax_rows(m):
 def token_cross_entropy(logits, gold):
     """Mean over tokens of -log softmax(logits_t)[gold_t].
 
-    logits is T x L (array or Tensor), gold a length-T index sequence.
+    logits is a T x L Tensor, gold a length-T index sequence.
     """
-    if not isinstance(logits, Tensor):
-        return on_arrays(token_cross_entropy, logits, gold=gold)
     gold = np.asarray(gold, dtype=np.intp)
     n_tokens, n_labels = logits.data.shape
     if gold.shape != (n_tokens,):
@@ -84,9 +72,7 @@ def token_cross_entropy(logits, gold):
 
 
 def pool_rows(m, strategy):
-    """Collapse a T x d matrix to one d-vector: max, mean, or first row."""
-    if not isinstance(m, Tensor):
-        return on_arrays(pool_rows, m, strategy=strategy)
+    """Collapse a T x d Tensor to one d-vector: max, mean, or first row."""
     if strategy not in POOL_STRATEGIES:
         raise ValueError(f"unknown pool strategy {strategy!r}")
     if m.data.shape[0] < 1:
@@ -149,7 +135,7 @@ def _window_average_matrices(t, window):
 
 
 def apply_contextualizer(x, params, kind, window=2):
-    """Contextualize a T x d matrix of token vectors.
+    """Contextualize a T x d Tensor of token vectors.
 
     identity: returns the input. window-mixer: linear map of
     [token; mean of `window` left neighbors; mean of `window` right
@@ -157,8 +143,6 @@ def apply_contextualizer(x, params, kind, window=2):
     single-head scaled-dot-product layer with sinusoidal position addends
     and a residual connection.
     """
-    if not isinstance(x, Tensor):
-        return on_arrays(apply_contextualizer, x, params=params, kind=kind, window=window)
     if kind not in CONTEXTUALIZER_KINDS:
         raise ValueError(f"unknown contextualizer kind {kind!r}")
     t, d = x.data.shape

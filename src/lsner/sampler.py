@@ -136,23 +136,29 @@ def serialize_support(support):
     return "\n".join(lines) + "\n"
 
 
-def parse_support(lines):
-    header = {}
+# header key -> its value from the text after "="
+_SUPPORT_HEADER = {"k": int, "seed": lambda text: int(text) if text else None}
+
+
+def parse_support(lines, name="<support>"):
+    """A SupportSet from `serialize_support` lines; a malformed line raises
+    ValueError naming `name` and the line number."""
+    header = {"dataset": "", "k": 0, "seed": None}
     indices = []
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            header[key.strip()] = value.strip()
-        else:
-            indices.append(int(line))
-    seed = int(header["seed"]) if header.get("seed") else None
-    return SupportSet(header.get("dataset", ""), int(header.get("k", 0)),
-                      seed, indices)
+        try:
+            if line.startswith("#"):
+                key, _, value = line[1:].strip().partition("=")
+                key = key.strip()
+                header[key] = _SUPPORT_HEADER.get(key, str)(value.strip())
+            elif line:
+                indices.append(int(line))
+        except ValueError as exc:
+            raise ValueError(f"{name}:{lineno}: {exc}") from None
+    return SupportSet(header["dataset"], header["k"], header["seed"], indices)
 
 
 def load_support(path):
     with open(path, encoding="utf-8") as f:
-        return parse_support(f)
+        return parse_support(f, path)

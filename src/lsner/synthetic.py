@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Dataset, LabelTaxonomy, Sentence
+from .encoders import static_table
 
 
 @dataclass
@@ -27,11 +28,7 @@ class SyntheticTask:
 
     def static_table(self, vocab, rng):
         """Embedding table for `vocab` seeded from the word priors."""
-        table = rng.normal(0.0, 1.0 / np.sqrt(self.dim), size=(len(vocab), self.dim))
-        for i, token in enumerate(vocab.tokens):
-            if token in self.vectors:
-                table[i] = self.vectors[token]
-        return table
+        return static_table(self.vectors, vocab, self.dim, rng)[0]
 
     def all_words(self):
         words = list(self.fillers)

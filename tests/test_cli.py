@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lsner import cli
-from lsner.cli import RunConfig, main, read_config, sha256_file
+from lsner.cli import RunConfig, config_entries, main, sha256_file
 from lsner.corpus import load_conll, serialize_conll, serialize_taxonomy
 from lsner.sampler import load_support, verify_kshot
 from lsner.serialization import load_checkpoint, load_label_cache
@@ -56,13 +56,13 @@ class TestConfig:
     def test_read_config_strips_comments(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# top\nk = 5  # inline\n\nlr = 1e-4\n")
-        assert read_config(path) == {"k": "5", "lr": "1e-4"}
+        assert list(config_entries(path)) == [(2, "k", "5"), (4, "lr", "1e-4")]
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("just words\n")
         with pytest.raises(Exception, match="key = value"):
-            read_config(path)
+            list(config_entries(path))
 
     def test_missing_input_returns_error_code(self, tmp_path):
         rc = main(["eval", "--config", str(tmp_path / "nope.cfg"),
@@ -202,6 +202,55 @@ class TestTrain:
         assert rc == 1
         assert (out / "failures.txt").read_text() == \
             f"k=1 run=0: support_k1_run0.txt: {reason}\n"
+
+    @pytest.mark.parametrize("lines, lineno, error", [
+        (["# dataset=d", "# k=1", "# seed=0", "abc"], 4,
+         "invalid literal for int() with base 10: 'abc'"),
+        (["# dataset=d", "# k=one", "# seed=0", "0"], 2,
+         "invalid literal for int() with base 10: 'one'"),
+    ], ids=["index", "header-k"])
+    def test_unreadable_support_file_names_file_and_line(self, workspace, tmp_path,
+                                                         lines, lineno, error):
+        out = tmp_path / "unreadable"
+        out.mkdir()
+        (out / "support_k1_run0.txt").write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--config", str(workspace / "run.cfg"), "--out", str(out)])
+        assert rc == 1
+        assert (out / "failures.txt").read_text() == \
+            f"k=1 run=0: {out / 'support_k1_run0.txt'}:{lineno}: {error}\n"
+
+    def test_static_vectors_read_once_per_command(self, workspace, tmp_path, monkeypatch,
+                                                  capsys):
+        vectors = tmp_path / "vecs.txt"
+        vectors.write_text("".join(f"{w} " + " ".join(["0.5"] * 8) + "\n"
+                                   for w in ("begin", "inside", "other")))
+        load, reads = cli.load_static_vectors, []
+        monkeypatch.setattr(cli, "load_static_vectors",
+                            lambda path, dim: reads.append(path) or load(path, dim))
+        rc = main(["train", "--config", str(workspace / "run.cfg"), "--out",
+                   str(tmp_path / "out"), "--repeats", "2", "--static-vectors", str(vectors)])
+        assert rc == 0
+        assert reads == [str(vectors)]
+        assert capsys.readouterr().out.count("static vector coverage: ") == 2
+
+    @pytest.mark.parametrize("text, error", [
+        ("a " + " ".join(["1"] * 8) + "\nb 1 2 3 4 5 6 7 x\n",
+         "vecs.txt:2: could not convert string to float: 'x'"),
+        ("a 1 2\n", "vecs.txt:1: vector has 2 dims, expected 8"),
+        (None, "No such file or directory: '"),
+    ], ids=["non-number", "dims", "missing"])
+    def test_bad_static_vectors_are_one_command_error(self, workspace, tmp_path, capsys,
+                                                      text, error):
+        vectors = tmp_path / "vecs.txt"
+        if text is not None:
+            vectors.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["train", "--config", str(workspace / "run.cfg"), "--out", str(out),
+                   "--repeats", "2", "--static-vectors", str(vectors)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert error in err and str(vectors) in err
+        assert list(out.iterdir()) == []
 
     def test_no_prefinetune_recorded(self, workspace):
         out = workspace / "no_stage1"

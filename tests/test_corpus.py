@@ -77,7 +77,7 @@ class TestParseConll:
 
     def test_explicit_taxonomy_wins(self):
         ds = parse_conll(["a B-PER"], taxonomy=LabelTaxonomy([("PER", "person")]))
-        assert ds.taxonomy.natural("PER") == "person"
+        assert dict(ds.taxonomy.types)["PER"] == "person"
 
     def test_infer_natural_name(self):
         assert infer_natural_name("CREATIVE-WORK") == "creative work"
@@ -134,7 +134,7 @@ class TestTaxonomyFiles:
 
     def test_natural_names_lowercased(self):
         tax = LabelTaxonomy([("PER", "Person")])
-        assert tax.natural("PER") == "person"
+        assert dict(tax.types)["PER"] == "person"
 
 
 class TestExtractSpans:

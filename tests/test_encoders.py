@@ -1,15 +1,23 @@
 """Token and label encoders, vocabulary, contextual label inputs."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsner.corpus import LabelTaxonomy, Sentence, expand_tag_labels
 from lsner.encoders import (CONTEXT_BUDGET, CONTEXTUAL_SCHEMES, MASK_TOKEN, PAD_TOKEN,
                             UNK_TOKEN, LabelScheme, Vocabulary, build_contextual_label_inputs,
                             build_vocabulary, case_index, encode_labels,
                             encode_tokens, load_static_vectors,
-                            select_label_contexts)
+                            select_label_contexts, static_table)
 from lsner.matcher import init_model
+
+
+# special tokens, case variants and repeats, so both dedupe steps are hit
+WORDS = [PAD_TOKEN, UNK_TOKEN, MASK_TOKEN, "<UNK>", "<Pad>", "a", "A", "b", "B", "bee", "c"]
 
 
 class TestVocabulary:
@@ -36,6 +44,37 @@ class TestVocabulary:
     def test_requires_unk(self):
         with pytest.raises(ValueError, match="vocabulary has no <unk> token"):
             Vocabulary(["a", "b"])
+
+    @given(st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=6), max_size=8),
+           st.lists(st.sampled_from(WORDS), max_size=6), st.integers(1, 3))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_two_pass_oracle(self, token_lists, extras, min_freq):
+        sents = [Sentence(toks, ["O"] * len(toks)) for toks in token_lists]
+        assert build_vocabulary(sents, min_freq, extras).tokens == \
+            _two_pass_vocabulary(sents, min_freq, extras)
+
+
+def _two_pass_vocabulary(sentences, min_freq, extra_tokens):
+    """The token list of the earlier two-pass builder, kept as the oracle."""
+    counts = Counter()
+    for s in sentences:
+        for tok in s.tokens:
+            counts[tok.lower()] += 1
+    tokens = [PAD_TOKEN, UNK_TOKEN, MASK_TOKEN]
+    for tok, c in counts.items():
+        if c >= min_freq:
+            tokens.append(tok)
+    for tok in extra_tokens:
+        tok = tok.lower()
+        if tok not in tokens[3:] and tok not in (PAD_TOKEN, UNK_TOKEN, MASK_TOKEN):
+            tokens.append(tok)
+    seen = set()
+    uniq = []
+    for tok in tokens:
+        if tok not in seen:
+            seen.add(tok)
+            uniq.append(tok)
+    return uniq
 
 
 class TestCaseFeature:
@@ -271,8 +310,8 @@ class TestStaticVectors:
         vocab = build_vocabulary([Sentence(["red", "blue"], ["O", "O"])])
         path = tmp_path / "vecs.txt"
         path.write_text("red 1.0 2.0\ngreen 0.5 0.5\n")
-        table, coverage = load_static_vectors(path, vocab, 2,
-                                              np.random.default_rng(0))
+        table, coverage = static_table(load_static_vectors(path, 2), vocab, 2,
+                                       np.random.default_rng(0))
         assert table.shape == (len(vocab), 2)
         np.testing.assert_allclose(table[vocab.lookup("red")], [1.0, 2.0])
         assert coverage == pytest.approx(1 / len(vocab))
@@ -282,4 +321,12 @@ class TestStaticVectors:
         path = tmp_path / "vecs.txt"
         path.write_text("a 1.0 2.0 3.0\n")
         with pytest.raises(ValueError, match=":1:"):
-            load_static_vectors(path, vocab, 2, np.random.default_rng(0))
+            load_static_vectors(path, 2)
+
+    def test_unknown_tokens_draw_from_rng(self):
+        vocab = build_vocabulary([Sentence(["a"], ["O"])])
+        table, coverage = static_table({"a": np.ones(3)}, vocab, 3, np.random.default_rng(4))
+        expected = np.random.default_rng(4).normal(0.0, 1.0 / np.sqrt(3), size=(len(vocab), 3))
+        expected[vocab.lookup("a")] = 1.0
+        np.testing.assert_array_equal(table, expected)
+        assert coverage == 1 / len(vocab)

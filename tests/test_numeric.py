@@ -63,16 +63,16 @@ class TestSoftmax:
 
 class TestCrossEntropy:
     def test_reference_values(self):
-        logits = np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        assert token_cross_entropy(logits, [0, 2]) == pytest.approx(
+        logits = Tensor(np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+        assert float(token_cross_entropy(logits, [0, 2]).data) == pytest.approx(
             CE_TWO_ROWS, rel=1e-14)
-        assert token_cross_entropy(np.array([[1.0, 2.0, 3.0]]), [1]) == \
+        assert float(token_cross_entropy(Tensor(np.array([[1.0, 2.0, 3.0]])), [1]).data) == \
             pytest.approx(CE_123_GOLD1, rel=1e-14)
 
     def test_uniform_logits_give_log_n(self):
         for n in (2, 5, 9):
-            loss = token_cross_entropy(np.zeros((4, n)), [0, 1, 0, n - 1])
-            assert loss == pytest.approx(np.log(n), rel=1e-14)
+            loss = token_cross_entropy(Tensor(np.zeros((4, n))), [0, 1, 0, n - 1])
+            assert float(loss.data) == pytest.approx(np.log(n), rel=1e-14)
 
     def test_tensor_matches_array(self):
         logits = np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
@@ -80,7 +80,7 @@ class TestCrossEntropy:
         assert float(t.data) == pytest.approx(CE_TWO_ROWS, rel=1e-12)
 
     def test_gold_validation(self):
-        logits = np.zeros((2, 3))
+        logits = Tensor(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="does not match"):
             token_cross_entropy(logits, [0])
         with pytest.raises(ValueError, match="out of range"):
@@ -93,15 +93,15 @@ class TestPooling:
     M = np.array([[1.0, 5.0], [3.0, 2.0], [2.0, 2.0]])
 
     def test_strategies(self):
-        np.testing.assert_allclose(pool_rows(self.M, "max"), [3.0, 5.0])
-        np.testing.assert_allclose(pool_rows(self.M, "mean"), [2.0, 3.0])
-        np.testing.assert_allclose(pool_rows(self.M, "first"), [1.0, 5.0])
+        m = Tensor(self.M.copy())
+        np.testing.assert_allclose(pool_rows(m, "max").data, [3.0, 5.0])
+        np.testing.assert_allclose(pool_rows(m, "mean").data, [2.0, 3.0])
+        np.testing.assert_allclose(pool_rows(m, "first").data, [1.0, 5.0])
 
     def test_tensor_matches_array(self):
-        for strategy in ("max", "mean", "first"):
-            np.testing.assert_allclose(
-                pool_rows(Tensor(self.M.copy()), strategy).data,
-                pool_rows(self.M, strategy))
+        expected = {"max": self.M.max(axis=0), "mean": self.M.mean(axis=0), "first": self.M[0]}
+        for strategy, want in expected.items():
+            np.testing.assert_allclose(pool_rows(Tensor(self.M.copy()), strategy).data, want)
 
     def test_max_ties_route_gradient_to_first_row(self):
         t = Tensor(np.array([[2.0, 1.0], [2.0, 3.0], [0.0, 3.0]]))
@@ -110,9 +110,9 @@ class TestPooling:
 
     def test_errors(self):
         with pytest.raises(ValueError, match="unknown pool"):
-            pool_rows(self.M, "median")
+            pool_rows(Tensor(self.M.copy()), "median")
         with pytest.raises(ValueError, match="zero rows"):
-            pool_rows(np.zeros((0, 2)), "mean")
+            pool_rows(Tensor(np.zeros((0, 2))), "mean")
 
 
 class TestSinusoidalPositions:
@@ -135,14 +135,14 @@ class TestSinusoidalPositions:
 class TestContextualizers:
     def test_identity_returns_input(self):
         x = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_array_equal(apply_contextualizer(x, {}, "identity"), x)
+        np.testing.assert_array_equal(apply_contextualizer(Tensor(x), {}, "identity").data, x)
 
     def test_window_mixer_matches_manual_replay(self):
         rng = np.random.default_rng(11)
         d, t, w = 4, 5, 2
         params = init_contextualizer("window-mixer", d, rng)
         x = rng.normal(size=(t, d))
-        out = apply_contextualizer(x, params, "window-mixer", window=w)
+        out = apply_contextualizer(Tensor(x), params, "window-mixer", window=w).data
 
         mix = params["mix"].values
         expected = np.zeros((t, d))
@@ -159,14 +159,14 @@ class TestContextualizers:
         params = init_contextualizer("window-mixer", 6, rng)
         x = rng.normal(size=(1, 6))
         np.testing.assert_allclose(
-            apply_contextualizer(x, params, "window-mixer"), x, rtol=1e-12)
+            apply_contextualizer(Tensor(x), params, "window-mixer").data, x, rtol=1e-12)
 
     def test_self_attention_matches_manual_replay(self):
         rng = np.random.default_rng(7)
         d, t = 6, 4
         params = init_contextualizer("self-attention", d, rng)
         x = rng.normal(size=(t, d))
-        out = apply_contextualizer(x, params, "self-attention")
+        out = apply_contextualizer(Tensor(x), params, "self-attention").data
 
         pos = x + sinusoidal_positions(t, d)
         q = pos @ params["wq"].values
@@ -181,7 +181,7 @@ class TestContextualizers:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown contextualizer"):
-            apply_contextualizer(np.zeros((2, 2)), {}, "lstm")
+            apply_contextualizer(Tensor(np.zeros((2, 2))), {}, "lstm")
         with pytest.raises(ValueError, match="unknown contextualizer"):
             init_contextualizer("lstm", 4, np.random.default_rng(0))
 
