@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .corpus import (RENAME_MODES, Sentence, conll_sentences, load_conll,
-                     load_taxonomy, rename_taxonomy)
-from .encoders import LabelScheme, build_vocabulary, load_static_vectors, static_table
+                     load_taxonomy, rename_taxonomy, text_lines)
+from .encoders import build_vocabulary, load_static_vectors, static_table
 from .evaluation import aggregate_runs, evaluate_dataset, result_record
 from .matcher import TrainingConfig, build_label_cache, init_model, predict_tags, run_two_stage
 from .numeric import CONTEXTUALIZER_KINDS
@@ -39,15 +39,14 @@ class CliError(RuntimeError):
 
 def config_entries(path):
     """Yield (line number, key, value) for each ``key = value`` line."""
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            yield lineno, key.strip(), value.strip()
+    for lineno, line in enumerate(text_lines(path), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected key = value")
+        key, value = line.split("=", 1)
+        yield lineno, key.strip(), value.strip()
 
 
 def _one_of(*choices):
@@ -94,7 +93,7 @@ class RunConfig:
     prefinetune_epochs: int = _key(3, lambda v: TrainingConfig(prefinetune_epochs=v))
     finetune_epochs: int = _key(200, lambda v: TrainingConfig(finetune_epochs=v))
     no_prefinetune: bool = False  # true forces prefinetune_epochs = 0
-    scheme: str = _key("name", LabelScheme.parse)
+    scheme: str = _key("name", lambda v: TrainingConfig(scheme=v))
     rename: str = _key("original", _check_rename)
     tie_embeddings: bool = True
     caps_feature: bool = True
@@ -374,18 +373,23 @@ def cmd_predict(args):
     model = load_checkpoint(args.checkpoint)
     if args.cache:
         cache = load_label_cache(args.cache)
+        # once per command, naming the file; a wrong shape drops labels or indexes past them
+        got, shape = cache.matrix.shape, (len(model.tag_labels), model.config["dim"])
+        if cache.taxonomy_hash != model.taxonomy_digest:
+            raise CliError(f"--cache {args.cache}: label cache does not match the taxonomy")
+        if got != shape:
+            raise CliError(f"--cache {args.cache}: label matrix {got}, the model needs {shape}")
     else:
         cache = build_label_cache(model)
         if args.cache_out:
             save_label_cache(cache, args.cache_out)
 
     lines = []
-    with open(args.input, encoding="utf-8") as f:
-        for rows in conll_sentences(f):
-            tokens = [cols[0] for _, cols in rows]
-            tags = predict_tags(model, Sentence(tokens, ["O"] * len(tokens)), cache=cache)
-            lines += [f"{tok} {tag}" for tok, tag in zip(tokens, tags)]
-            lines.append("")
+    for rows in conll_sentences(text_lines(args.input)):
+        tokens = [cols[0] for _, cols in rows]
+        tags = predict_tags(model, Sentence(tokens, ["O"] * len(tokens)), cache=cache)
+        lines += [f"{tok} {tag}" for tok, tag in zip(tokens, tags)]
+        lines.append("")
     Path(args.output).write_text(
         "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     return 0
@@ -445,7 +449,7 @@ def main(argv=None):
             Path(cfg.out).mkdir(parents=True, exist_ok=True)
             return func(cfg, args)
         return func(args)
-    except (CliError, FileNotFoundError, ValueError) as exc:
+    except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -190,9 +190,26 @@ def _naming(path):
         raise CorpusError(f"{path}: {exc}") from exc
 
 
+def text_lines(path):
+    """Yield the lines of the UTF-8 text file `path`, newlines universal;
+    bytes that are not UTF-8 raise ValueError naming ``path:line``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            yield from f
+    except UnicodeDecodeError:
+        with open(path, "rb") as f:
+            lines = f.read().splitlines()  # at \n, \r and \r\n, as text mode splits
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
+        raise
+
+
 def load_conll(path, taxonomy=None):
-    with open(path, encoding="utf-8") as f, _naming(path):
-        return parse_conll(f, name=str(path), taxonomy=taxonomy)
+    with _naming(path):
+        return parse_conll(text_lines(path), name=str(path), taxonomy=taxonomy)
 
 
 def serialize_conll(dataset):
@@ -219,8 +236,8 @@ def parse_taxonomy(lines):
 
 
 def load_taxonomy(path):
-    with open(path, encoding="utf-8") as f, _naming(path):
-        return parse_taxonomy(f)
+    with _naming(path):
+        return parse_taxonomy(text_lines(path))
 
 
 def serialize_taxonomy(taxonomy):

@@ -1,9 +1,10 @@
-"""Token-side and label-side encoders sharing one d-dimensional space.
+"""Token-side and label-side encoders: two instances of one `EncoderParams`
+in one d-dimensional space.
 
 Both sides can share the embedding table (tied by default), so a label
 name like "person" starts out at the same point as the token "person".
-The label side supports the plain name-only representation and the
-contextual schemes that substitute the label name into support sentences.
+A label is encoded from its name, or from the support sentences that a
+contextual scheme froze for it, with the name substituted in.
 """
 
 from collections import Counter
@@ -13,8 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import extract_spans
-from .numeric import ParamGroup, apply_contextualizer, init_contextualizer, pool_rows
+from .corpus import extract_spans, text_lines
+from .numeric import ParamGroup, apply_contextualizer, pool_rows
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -71,70 +72,49 @@ def case_index(token):
     return 3
 
 
-@dataclass
-class LabelScheme:
-    """How tagging labels are represented: plain names or in context."""
-
-    kind: str = "name"  # "name" | "contextual"
-    sub: str | None = None
-
-    @classmethod
-    def parse(cls, text):
-        if text == "name":
-            return cls("name")
-        if text.startswith("contextual:"):
-            sub = text.split(":", 1)[1]
-            if sub not in CONTEXTUAL_SCHEMES:
-                raise ValueError(f"unknown contextual sub-scheme {sub!r}")
-            return cls("contextual", sub)
+def contextual_sub(text):
+    """The contextual sub-scheme a label scheme names, or None for "name"."""
+    if text == "name":
+        return None
+    if not text.startswith("contextual:"):
         raise ValueError(f"unknown label scheme {text!r}")
-
-    def __str__(self):
-        return self.kind if self.kind == "name" else f"contextual:{self.sub}"
+    sub = text[len("contextual:"):]
+    if sub not in CONTEXTUAL_SCHEMES:
+        raise ValueError(f"unknown contextual sub-scheme {sub!r}")
+    return sub
 
 
 @dataclass
-class TokenEncoderParams:
-    dim: int
-    embedding: ParamGroup
+class EncoderParams:
+    """One encoder's parameters; the token and label encoders are two of these.
+    `caps` (token side only) adds a learned row per capitalization class;
+    `pool` (label side only) collapses a label name's rows to one vector."""
+
+    embedding: ParamGroup  # the label side may share the token side's table
     ctx_kind: str
     ctx_params: dict
+    window: int
     caps: ParamGroup | None = None
-    window: int = 2
+    pool: str | None = None
 
     def groups(self):
-        out = [self.embedding] + list(self.ctx_params.values())
-        if self.caps is not None:
-            out.append(self.caps)
-        return out
-
-
-@dataclass
-class LabelEncoderParams:
-    dim: int
-    embedding: ParamGroup  # possibly the same object as the token table
-    ctx_kind: str
-    ctx_params: dict
-    pool: str = "first"
-    window: int = 2
-
-    def groups(self):
-        return [self.embedding] + list(self.ctx_params.values())
+        out = [self.embedding, *self.ctx_params.values()]
+        return out if self.caps is None else out + [self.caps]
 
 
 def encode_tokens(sentence, params, vocab):
     """Encode one sentence to a T x d Tensor."""
     if len(sentence) == 0:
         raise ValueError("cannot encode an empty sentence")
-    return _encode_token_list(sentence.tokens, params, vocab, caps=params.caps)
+    return _encode_token_list(sentence.tokens, params, vocab)
 
 
-def _encode_token_list(tokens, params, vocab, caps=None):
-    """Embed the lowercased tokens, add each token's caps row when `caps`
-    is given, and contextualize: a T x d Tensor."""
+def _encode_token_list(tokens, params, vocab):
+    """Embed the lowercased tokens, add each token's caps row when the
+    encoder has a caps table, and contextualize: a T x d Tensor."""
     x = ad.take_rows(params.embedding.tensor, [vocab.lookup(t.lower()) for t in tokens])
-    if caps is not None:
-        x = ad.add(x, ad.take_rows(caps.tensor, [case_index(t) for t in tokens]))
+    if params.caps is not None:
+        x = ad.add(x, ad.take_rows(params.caps.tensor, [case_index(t) for t in tokens]))
     return apply_contextualizer(x, params.ctx_params, params.ctx_kind,
                                 window=params.window)
 
@@ -200,31 +180,26 @@ def build_contextual_label_inputs(label, support_sentences, sub, rng, spans=None
     return out
 
 
-def select_label_contexts(labels, support_sentences, scheme, rng):
-    """Freeze the contextual inputs for every tagging label at stage start."""
+def select_label_contexts(labels, support_sentences, sub, rng):
+    """Freeze every tagging label's contexts under sub-scheme `sub` at stage start."""
     spans = [extract_spans(s.tags) for s in support_sentences]
     return {label.text: build_contextual_label_inputs(
-        label, support_sentences, scheme.sub, rng, spans=spans)
+        label, support_sentences, sub, rng, spans=spans)
         for label in labels}
 
 
-def encode_labels(labels, params, vocab, scheme=None, contexts=None):
+def encode_labels(labels, params, vocab, contexts=None):
     """Encode the canonical tagging-label list to a (2*N_L - 1) x d Tensor.
 
-    Name-only: whitespace-tokenize each label text, embed, contextualize
-    and pool. Contextual: encode each frozen context sentence, mean-pool
-    over all positions and average across sentences; labels without any
-    context fall back to the name-only path.
+    A label with frozen context sentences in `contexts` (label text ->
+    token lists) is contextual: encode each sentence, mean-pool over all
+    positions and average across sentences. Any other label is its name:
+    whitespace-tokenize the label text, embed, contextualize and pool.
     """
-    if scheme is None:
-        scheme = LabelScheme("name")
-    if scheme.kind == "contextual" and contexts is None:
-        raise ValueError("contextual label scheme requires support contexts")
-
     rows = []
     for label in labels:
-        ctx_sents = (contexts or {}).get(label.text, ())
-        if scheme.kind == "contextual" and ctx_sents:
+        ctx_sents = (contexts or {}).get(label.text)
+        if ctx_sents:
             pooled = [ad.mean_rows(_encode_token_list(toks, params, vocab))
                       for toks in ctx_sents]
             rows.append(ad.average(pooled))
@@ -241,19 +216,17 @@ def load_static_vectors(path, dim):
     ``path:line``.
     """
     vectors = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: vector has {len(values)} dims, expected {dim}")
-            try:
-                vectors[token] = np.array([float(v) for v in values])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(text_lines(path), start=1):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        token, values = parts[0], parts[1:]
+        if len(values) != dim:
+            raise ValueError(f"{path}:{lineno}: vector has {len(values)} dims, expected {dim}")
+        try:
+            vectors[token] = np.array([float(v) for v in values])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return vectors
 
 

@@ -14,9 +14,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import expand_tag_labels, surface_tag
-from .encoders import (N_CASES, LabelEncoderParams, LabelScheme, TokenEncoderParams,
-                       encode_labels, encode_tokens, select_label_contexts)
-from .numeric import ParamGroup, contextualizer_shapes, init_contextualizer, token_cross_entropy
+from .encoders import (N_CASES, EncoderParams, contextual_sub, encode_labels, encode_tokens,
+                       select_label_contexts)
+from .numeric import ParamGroup, contextualizer_shapes, token_cross_entropy
 
 
 @dataclass
@@ -35,13 +35,14 @@ class TrainingConfig:
             raise ValueError("learning rate must be positive")
         if self.batch_size < 1 or self.prefinetune_epochs < 0 or self.finetune_epochs < 0:
             raise ValueError("counts must be non-negative, batch size positive")
+        contextual_sub(self.scheme)
 
 
 @dataclass
 class ModelState:
     vocab: object
-    token_params: TokenEncoderParams
-    label_params: LabelEncoderParams
+    token_params: EncoderParams
+    label_params: EncoderParams
     taxonomy: object = None
     tag_labels: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
@@ -57,13 +58,8 @@ class ModelState:
 
     def param_groups(self):
         """All trainable groups, deduplicated (embedding may be tied)."""
-        out = []
-        seen = set()
-        for g in self.token_params.groups() + self.label_params.groups():
-            if id(g) not in seen:
-                seen.add(id(g))
-                out.append(g)
-        return out
+        groups = self.token_params.groups() + self.label_params.groups()
+        return list({id(g): g for g in groups}.values())
 
     @property
     def tied(self):
@@ -88,6 +84,36 @@ def taxonomy_hash(taxonomy):
     return h.hexdigest()
 
 
+def param_shapes(config, n_vocab):
+    """Name -> shape of each parameter array of a model of `config` over
+    `n_vocab` tokens, in `param_groups()` order: embedding, "tok.*", caps,
+    label_embedding (untied models only), "lab.*"."""
+    dim = config["dim"]
+    shapes = {"embedding": (n_vocab, dim)}
+    shapes.update((f"tok.{name}", shape) for name, shape in
+                  contextualizer_shapes(config["token_ctx"], dim).items())
+    if config["caps_feature"]:
+        shapes["caps"] = (N_CASES, dim)
+    if not config["tie_embeddings"]:
+        shapes["label_embedding"] = (n_vocab, dim)
+    shapes.update((f"lab.{name}", shape) for name, shape in
+                  contextualizer_shapes(config["label_ctx"], dim).items())
+    return shapes
+
+
+def _init_array(name, shape, rng):
+    """A fresh array for parameter `name`; random ones are drawn from `rng`."""
+    dim = shape[1]
+    if name == "caps":
+        return np.zeros(shape)
+    if name.endswith(".mix"):
+        # identity on the token block keeps the embedding prior at init
+        return np.vstack([np.eye(dim), rng.normal(0.0, 0.1 / np.sqrt(dim), size=(2 * dim, dim))])
+    std = 1.0 / np.sqrt(dim)
+    # a small output map keeps the residual branch dominant at init
+    return rng.normal(0.0, 0.1 * std if name.endswith(".wo") else std, size=shape)
+
+
 def init_model(vocab, taxonomy, dim=32, seed=0, token_ctx="self-attention",
                label_ctx="identity", label_pool=None, tie_embeddings=True,
                caps_feature=True, window=2, static_table=None):
@@ -95,30 +121,22 @@ def init_model(vocab, taxonomy, dim=32, seed=0, token_ctx="self-attention",
 
     `label_pool` defaults to "first" for a learned label contextualizer
     and "max" for the static-vector style (identity contextualizer).
-    `static_table` optionally seeds the embedding table.
+    `static_table` optionally seeds the embedding table. The arrays are
+    drawn from one rng in `param_shapes` order.
     """
     if label_pool is None:
         label_pool = "max" if label_ctx == "identity" else "first"
     config = {"dim": dim, "token_ctx": token_ctx, "label_ctx": label_ctx,
               "label_pool": label_pool, "tie_embeddings": tie_embeddings,
               "caps_feature": caps_feature, "window": window}
+    shapes = param_shapes(config, len(vocab))
     rng = np.random.default_rng(seed)
+    arrays = {name: _init_array(name, shape, rng) for name, shape in shapes.items()
+              if name != "embedding" or static_table is None}
     if static_table is not None:
-        table = np.asarray(static_table, dtype=float)
-        if table.shape != (len(vocab), dim):
-            raise ValueError(f"static table shape {table.shape} != {(len(vocab), dim)}")
-    else:
-        table = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(len(vocab), dim))
-    arrays = {"embedding": table}
-    arrays.update((g.name, g.values) for g in
-                  init_contextualizer(token_ctx, dim, rng, prefix="tok").values())
-    if caps_feature:
-        arrays["caps"] = np.zeros((N_CASES, dim))
-    if not tie_embeddings:
-        arrays["label_embedding"] = rng.normal(0.0, 1.0 / np.sqrt(dim),
-                                               size=(len(vocab), dim))
-    arrays.update((g.name, g.values) for g in
-                  init_contextualizer(label_ctx, dim, rng, prefix="lab").values())
+        table = arrays["embedding"] = np.asarray(static_table, dtype=float)
+        if table.shape != shapes["embedding"]:
+            raise ValueError(f"static table shape {table.shape} != {shapes['embedding']}")
     return model_from_arrays(vocab, taxonomy, config, seed, arrays)
 
 
@@ -128,22 +146,11 @@ def model_from_arrays(vocab, taxonomy, config, seed, arrays):
 
     `config` holds dim, token_ctx, label_ctx, label_pool, tie_embeddings,
     caps_feature and window, and may hold more keys; the model keeps a copy
-    of it. The names and shapes `arrays` must have follow from `config` and
-    the vocabulary size; a tied model has no "label_embedding", both
-    encoders share the one "embedding" group. Raises ValueError when a name
-    is unknown or missing, or a shape differs.
+    of it. `arrays` must have the names and shapes of `param_shapes`; a
+    tied model's two encoders share the one "embedding" group. Raises
+    ValueError when a name is unknown or missing, or a shape differs.
     """
-    dim, window = config["dim"], config["window"]
-    # in param_groups() order
-    shapes = {"embedding": (len(vocab), dim)}
-    shapes.update((f"tok.{name}", shape) for name, shape in
-                  contextualizer_shapes(config["token_ctx"], dim).items())
-    if config["caps_feature"]:
-        shapes["caps"] = (N_CASES, dim)
-    if not config["tie_embeddings"]:
-        shapes["label_embedding"] = (len(vocab), dim)
-    shapes.update((f"lab.{name}", shape) for name, shape in
-                  contextualizer_shapes(config["label_ctx"], dim).items())
+    shapes = param_shapes(config, len(vocab))
     if arrays.keys() != shapes.keys():
         raise ValueError(f"unknown parameters {sorted(arrays.keys() - shapes.keys())}, "
                          f"missing parameters {sorted(shapes.keys() - arrays.keys())}")
@@ -153,17 +160,15 @@ def model_from_arrays(vocab, taxonomy, config, seed, arrays):
             raise ValueError(f"shape mismatch for {name}")
         groups[name] = ParamGroup(name, Tensor(arrays[name]))
 
-    def ctx_params(prefix):
-        return {name[len(prefix):]: g for name, g in groups.items() if name.startswith(prefix)}
+    def encoder(prefix, kind, embedding, **extra):
+        ctx = {name[len(prefix):]: g for name, g in groups.items() if name.startswith(prefix)}
+        return EncoderParams(embedding, kind, ctx, config["window"], **extra)
 
-    token_params = TokenEncoderParams(
-        dim=dim, embedding=groups["embedding"], ctx_kind=config["token_ctx"],
-        ctx_params=ctx_params("tok."), caps=groups.get("caps"), window=window)
-    label_params = LabelEncoderParams(
-        dim=dim, embedding=groups.get("label_embedding", groups["embedding"]),
-        ctx_kind=config["label_ctx"], ctx_params=ctx_params("lab."),
-        pool=config["label_pool"], window=window)
-    model = ModelState(vocab, token_params, label_params, seed=seed, config=dict(config))
+    model = ModelState(
+        vocab, encoder("tok.", config["token_ctx"], groups["embedding"], caps=groups.get("caps")),
+        encoder("lab.", config["label_ctx"], groups.get("label_embedding", groups["embedding"]),
+                pool=config["label_pool"]),
+        seed=seed, config=dict(config))
     model.set_taxonomy(taxonomy)
     return model
 
@@ -176,10 +181,9 @@ def score_tokens(e, b):
     return ad.matmul(e, ad.transpose(b))
 
 
-def label_matrix(model, scheme=None, contexts=None):
+def label_matrix(model, contexts=None):
     """Current label representations as a Tensor, (2*N_L - 1) x d."""
-    return encode_labels(model.tag_labels, model.label_params, model.vocab,
-                         scheme=scheme, contexts=contexts)
+    return encode_labels(model.tag_labels, model.label_params, model.vocab, contexts)
 
 
 def predict_tags(model, sentence, cache=None):
@@ -333,18 +337,17 @@ def train_stage(model, dataset, config, stage="finetune", support_sentences=None
     if not dataset.sentences:
         raise ValueError("cannot train on an empty dataset")
     model.set_taxonomy(dataset.taxonomy)
-    scheme = LabelScheme.parse(config.scheme)
+    sub = contextual_sub(config.scheme)
 
     epochs = (config.prefinetune_epochs if stage == "prefinetune"
               else config.finetune_epochs)
     rng = np.random.default_rng([config.seed, 0 if stage == "prefinetune" else 1])
 
     contexts = None
-    if scheme.kind == "contextual":
+    if sub is not None:
         if support_sentences is None:
             support_sentences = dataset.sentences
-        contexts = select_label_contexts(model.tag_labels, support_sentences,
-                                         scheme, rng)
+        contexts = select_label_contexts(model.tag_labels, support_sentences, sub, rng)
 
     opt = Adam(model.param_groups(), lr=config.learning_rate)
     n = len(dataset.sentences)
@@ -356,7 +359,7 @@ def train_stage(model, dataset, config, stage="finetune", support_sentences=None
         for start in range(0, n, config.batch_size):
             batch = [dataset.sentences[i] for i in order[start:start + config.batch_size]]
             opt.zero_grad()
-            labels = label_matrix(model, scheme=scheme, contexts=contexts)
+            labels = label_matrix(model, contexts)
             # per-token mean over the whole batch
             parts = []
             total_tokens = sum(len(s) for s in batch)

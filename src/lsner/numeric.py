@@ -4,6 +4,7 @@ Each operation takes and returns autodiff Tensors, so training and
 inference run the same code; under `no_grad()` no tape is recorded.
 `softmax_rows` alone also takes a plain array and returns one.
 Tie-breaking is always lowest-index; softmax is always max-subtracted.
+`contextualizer_shapes` is the one statement of a contextualizer's arrays.
 """
 
 import functools
@@ -94,7 +95,7 @@ def sinusoidal_positions(length, dim):
 
 def contextualizer_shapes(kind, dim):
     """Name -> shape of each array a contextualizer of the given kind needs,
-    in the order `init_contextualizer` draws them."""
+    in the order `matcher.init_model` draws them."""
     if kind not in CONTEXTUALIZER_KINDS:
         raise ValueError(f"unknown contextualizer kind {kind!r}")
     if kind == "window-mixer":
@@ -102,25 +103,6 @@ def contextualizer_shapes(kind, dim):
     if kind == "self-attention":
         return dict.fromkeys(("wq", "wk", "wv", "wo"), (dim, dim))
     return {}
-
-
-def init_contextualizer(kind, dim, rng, prefix="ctx"):
-    """Create the ParamGroups a contextualizer of the given kind needs."""
-    params = {}
-    for name, shape in contextualizer_shapes(kind, dim).items():
-        if name == "mix":
-            # identity on the token block keeps the embedding prior at init
-            data = np.zeros(shape)
-            data[:dim] = np.eye(dim)
-            data[dim:] = rng.normal(0.0, 0.1 / np.sqrt(dim), size=(2 * dim, dim))
-        else:
-            std = 1.0 / np.sqrt(dim)
-            if name == "wo":
-                # small output map keeps the residual branch dominant at init
-                std = 0.1 * std
-            data = rng.normal(0.0, std, size=shape)
-        params[name] = ParamGroup(f"{prefix}.{name}", Tensor(data))
-    return params
 
 
 def _window_average_matrices(t, window):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Dataset, extract_spans
+from .corpus import Dataset, extract_spans, text_lines
 
 
 class SamplingError(ValueError):
@@ -160,5 +160,4 @@ def parse_support(lines, name="<support>"):
 
 
 def load_support(path):
-    with open(path, encoding="utf-8") as f:
-        return parse_support(f, path)
+    return parse_support(text_lines(path), path)

@@ -10,8 +10,9 @@ import pytest
 from lsner import cli
 from lsner.cli import RunConfig, config_entries, main, sha256_file
 from lsner.corpus import load_conll, serialize_conll, serialize_taxonomy
+from lsner.matcher import LabelCache
 from lsner.sampler import load_support, verify_kshot
-from lsner.serialization import load_checkpoint, load_label_cache
+from lsner.serialization import load_checkpoint, load_label_cache, save_label_cache
 from lsner.synthetic import make_task
 
 
@@ -102,6 +103,13 @@ class TestConfig:
         where = f"{cfg}:3" if line else "command line"
         assert f"error: {where}: {message}\n" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unknown_scheme_rejected_before_any_corpus_loads(self, tmp_path, capsys):
+        rc = main(["train", "--target-train", str(tmp_path / "missing.conll"),
+                   "--scheme", "contextual:NOPE", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: command line: scheme: unknown contextual sub-scheme 'NOPE'\n"
 
     def test_readme_table_matches_run_config(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -413,3 +421,83 @@ class TestCacheLabels:
         assert rc == 0
         cache = load_label_cache(out_file)
         assert cache.matrix.shape[0] == 5  # two types -> 2*3 - 1 labels
+
+
+def with_bad_byte(source, dest, line=2):
+    """Copy `source` to `dest` with a byte that is not UTF-8 opening line `line`."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    dest.write_bytes(b"".join(lines))
+    return dest
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("reader", ["config", "target_train", "taxonomy",
+                                        "static_vectors", "support", "predict_input"])
+    def test_text_that_is_not_utf8_names_file_and_line(self, workspace, trained, tmp_path,
+                                                       capsys, reader):
+        cfg, out = workspace / "run.cfg", tmp_path / "out"
+        out.mkdir()
+        argv = ["train", "--config", str(cfg), "--out", str(out)]
+        if reader == "config":
+            bad = with_bad_byte(cfg, tmp_path / "run.cfg")
+            argv[2] = str(bad)
+        elif reader in ("target_train", "taxonomy"):
+            name = "target_train.conll" if reader == "target_train" else "taxonomy.txt"
+            bad = with_bad_byte(workspace / name, tmp_path / name)
+            argv += ["--" + reader.replace("_", "-"), str(bad)]
+        elif reader == "static_vectors":
+            bad = tmp_path / "vecs.txt"
+            bad.write_text("".join(f"{w} " + " ".join(["0.5"] * 8) + "\n" for w in "ab"))
+            with_bad_byte(bad, bad)
+            argv += ["--static-vectors", str(bad)]
+        elif reader == "support":
+            bad = with_bad_byte(trained / "support_k1_run0.txt", out / "support_k1_run0.txt")
+        else:
+            bad = with_bad_byte(workspace / "target_test.conll", tmp_path / "in.conll")
+            argv = ["predict", "--checkpoint", str(trained / "model_k1_run0.ckpt"),
+                    str(bad), str(out / "pred.conll")]
+        message = f"{bad}:2: not UTF-8 text"
+        rc = main(argv)
+        if reader == "support":  # a reused support file fails its run only
+            assert rc == 1
+            assert (out / "failures.txt").read_text() == f"k=1 run=0: {message}\n"
+        else:
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_directory_path_is_a_named_error(self, workspace, tmp_path, capsys, command):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        if command == "train":
+            argv = ["train", "--config", str(folder), "--out", str(tmp_path / "out")]
+        else:
+            argv = ["predict", "--checkpoint", str(folder),
+                    str(workspace / "target_test.conll"), str(tmp_path / "pred.conll")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(folder) in err
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda c: LabelCache(c.taxonomy_hash, np.vstack([c.matrix, c.matrix[:2]])),
+         "label matrix (7, 8), the model needs (5, 8)"),
+        (lambda c: LabelCache(c.taxonomy_hash, c.matrix[:2]),
+         "label matrix (2, 8), the model needs (5, 8)"),
+        (lambda c: LabelCache(c.taxonomy_hash, c.matrix[:, :4]),
+         "label matrix (5, 4), the model needs (5, 8)"),
+        (lambda c: LabelCache("0" * 64, c.matrix),
+         "label cache does not match the taxonomy"),
+    ], ids=["extra-rows", "two-rows", "half-columns", "other-taxonomy"])
+    def test_predict_refuses_a_cache_that_does_not_fit(self, workspace, trained, tmp_path,
+                                                       capsys, edit, error):
+        ckpt = str(trained / "model_k1_run0.ckpt")
+        good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+        assert main(["cache-labels", "--checkpoint", ckpt, "--out", str(good)]) == 0
+        save_label_cache(edit(load_label_cache(good)), bad)
+        pred = tmp_path / "pred.conll"
+        rc = main(["predict", "--checkpoint", ckpt, "--cache", str(bad),
+                   str(workspace / "target_test.conll"), str(pred)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --cache {bad}: {error}\n"
+        assert not pred.exists()

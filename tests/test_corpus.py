@@ -12,7 +12,8 @@ from lsner.corpus import (CorpusError, Dataset, EntitySpan, LabelTaxonomy,
                           extract_spans, filter_coarse_type, infer_natural_name,
                           load_conll, load_taxonomy, parse_conll,
                           parse_taxonomy, rename_taxonomy, repair_bio,
-                          serialize_conll, serialize_taxonomy, surface_tag)
+                          serialize_conll, serialize_taxonomy, surface_tag,
+                          text_lines)
 
 TAGS_XY = ["O", "B-X", "I-X", "B-Y", "I-Y"]
 
@@ -135,6 +136,33 @@ class TestTaxonomyFiles:
     def test_natural_names_lowercased(self):
         tax = LabelTaxonomy([("PER", "Person")])
         assert dict(tax.types)["PER"] == "person"
+
+
+class TestTextLines:
+    @pytest.mark.parametrize("data", [b"a\nb\r\nc\rd", b"", b"\n\n", b"x\r\n",
+                                      "\u00e9\n".encode()])
+    def test_lines_as_text_mode_gives_them(self, tmp_path, data):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as f:
+            assert list(text_lines(path)) == list(f)
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff", 1), (b"a\nb\n\xfe\n", 3), (b"a\r\nb\rc\xe9\n", 3),
+        (b"a\n" * 5000 + b"b\xc3", 5001)])
+    def test_bytes_that_are_not_utf8_name_path_and_line(self, tmp_path, data, line):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: not UTF-8 text$"):
+            list(text_lines(path))
+
+    def test_loaders_do_not_name_the_path_twice(self, tmp_path):
+        path = tmp_path / "t.conll"
+        path.write_bytes(b"a O\n\xff O\n")
+        for load in (load_conll, load_taxonomy):
+            with pytest.raises(ValueError) as info:
+                load(path)
+            assert str(info.value) == f"{path}:2: not UTF-8 text"
 
 
 class TestExtractSpans:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from lsner.corpus import LabelTaxonomy, Sentence, expand_tag_labels
 from lsner.encoders import (CONTEXT_BUDGET, CONTEXTUAL_SCHEMES, MASK_TOKEN, PAD_TOKEN,
-                            UNK_TOKEN, LabelScheme, Vocabulary, build_contextual_label_inputs,
-                            build_vocabulary, case_index, encode_labels,
+                            UNK_TOKEN, Vocabulary, build_contextual_label_inputs,
+                            build_vocabulary, case_index, contextual_sub, encode_labels,
                             encode_tokens, load_static_vectors,
                             select_label_contexts, static_table)
 from lsner.matcher import init_model
@@ -87,19 +87,16 @@ class TestCaseFeature:
 
 class TestLabelScheme:
     def test_parse_name(self):
-        s = LabelScheme.parse("name")
-        assert s.kind == "name" and str(s) == "name"
+        assert contextual_sub("name") is None
 
     def test_parse_contextual(self):
-        s = LabelScheme.parse("contextual:BIOTAG_COLON_MASK")
-        assert (s.kind, s.sub) == ("contextual", "BIOTAG_COLON_MASK")
-        assert str(s) == "contextual:BIOTAG_COLON_MASK"
+        assert contextual_sub("contextual:BIOTAG_COLON_MASK") == "BIOTAG_COLON_MASK"
 
     def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            LabelScheme.parse("contextual:NOPE")
-        with pytest.raises(ValueError):
-            LabelScheme.parse("bagofwords")
+        with pytest.raises(ValueError, match="unknown contextual sub-scheme 'NOPE'"):
+            contextual_sub("contextual:NOPE")
+        with pytest.raises(ValueError, match="unknown label scheme 'bagofwords'"):
+            contextual_sub("bagofwords")
 
 
 class TestTokenEncoder:
@@ -214,8 +211,7 @@ class TestContextualLabelInputs:
 
     def test_select_label_contexts_covers_all_labels(self, two_type_taxonomy):
         labels = expand_tag_labels(two_type_taxonomy)
-        scheme = LabelScheme.parse("contextual:LABEL")
-        contexts = select_label_contexts(labels, [FOOTBALL], scheme,
+        contexts = select_label_contexts(labels, [FOOTBALL], "LABEL",
                                          np.random.default_rng(0))
         assert set(contexts) == {l.text for l in labels}
         assert contexts["begin location"] == []  # no LOC sentence available
@@ -263,8 +259,7 @@ class TestContextsMatchReference:
             for seed in range(3):
                 sentences = dataset.sentences[seed * 7:]
                 shipped_rng = np.random.default_rng(seed)
-                shipped = select_label_contexts(labels, sentences,
-                                                LabelScheme("contextual", sub), shipped_rng)
+                shipped = select_label_contexts(labels, sentences, sub, shipped_rng)
                 ref_rng = np.random.default_rng(seed)
                 reference = {label.text: reference_contextual_label_inputs(
                     label, sentences, sub, ref_rng) for label in labels}
@@ -277,32 +272,21 @@ class TestContextualEncoding:
     def test_fallback_to_name_when_no_context(self, small_model):
         m = small_model
         labels = expand_tag_labels(m.taxonomy)
-        scheme = LabelScheme.parse("contextual:LABEL")
         empty = {l.text: [] for l in labels}
-        ctx = encode_labels(labels, m.label_params, m.vocab,
-                            scheme=scheme, contexts=empty)
+        ctx = encode_labels(labels, m.label_params, m.vocab, contexts=empty)
         plain = encode_labels(labels, m.label_params, m.vocab)
         np.testing.assert_allclose(ctx.data, plain.data)
 
     def test_contextual_is_mean_over_positions_and_sentences(self, small_model):
         m = small_model
         labels = expand_tag_labels(m.taxonomy)
-        scheme = LabelScheme.parse("contextual:LABEL")
         contexts = {l.text: [] for l in labels}
         contexts["begin person"] = [["person", "lives"], ["john"]]
-        out = encode_labels(labels, m.label_params, m.vocab,
-                            scheme=scheme, contexts=contexts)
+        out = encode_labels(labels, m.label_params, m.vocab, contexts=contexts)
         emb = m.label_params.embedding.values
         first = (emb[m.vocab.lookup("person")] + emb[m.vocab.lookup("lives")]) / 2
         second = emb[m.vocab.lookup("john")]
         np.testing.assert_allclose(out.data[1], (first + second) / 2)
-
-    def test_contextual_scheme_requires_contexts(self, small_model):
-        m = small_model
-        labels = expand_tag_labels(m.taxonomy)
-        with pytest.raises(ValueError, match="support contexts"):
-            encode_labels(labels, m.label_params, m.vocab,
-                          scheme=LabelScheme.parse("contextual:LABEL"))
 
 
 class TestStaticVectors:

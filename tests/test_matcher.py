@@ -242,6 +242,13 @@ class TestTrainingConfig:
         with pytest.raises(ValueError):
             TrainingConfig(finetune_epochs=-1)
 
+    @pytest.mark.parametrize("scheme, message", [
+        ("contextual:NOPE", "unknown contextual sub-scheme 'NOPE'"),
+        ("bagofwords", "unknown label scheme 'bagofwords'")])
+    def test_unknown_scheme_rejected_at_construction(self, scheme, message):
+        with pytest.raises(ValueError, match=message):
+            TrainingConfig(scheme=scheme)
+
 
 class TestTrainStage:
     def test_zero_epochs_leave_parameters_untouched(self, tiny_dataset, small_model):

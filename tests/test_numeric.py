@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from lsner import autodiff as ad
 from lsner.autodiff import Tensor
+from lsner.corpus import LabelTaxonomy
+from lsner.encoders import build_vocabulary
+from lsner.matcher import init_model
 from lsner.numeric import (ParamGroup, apply_contextualizer, check_gradients,
-                           init_contextualizer, pool_rows, sinusoidal_positions,
+                           contextualizer_shapes, pool_rows, sinusoidal_positions,
                            softmax_rows, token_cross_entropy)
 
 # softmax([1, 2, 3]), 50-digit reference
@@ -132,6 +135,13 @@ class TestSinusoidalPositions:
             table[0, 0] = 9.0
 
 
+def fresh_ctx_params(kind, dim, seed):
+    """The token contextualizer parameters of a freshly initialized model."""
+    model = init_model(build_vocabulary([]), LabelTaxonomy([]), dim=dim, seed=seed,
+                       token_ctx=kind)
+    return model.token_params.ctx_params
+
+
 class TestContextualizers:
     def test_identity_returns_input(self):
         x = np.arange(6.0).reshape(3, 2)
@@ -140,7 +150,7 @@ class TestContextualizers:
     def test_window_mixer_matches_manual_replay(self):
         rng = np.random.default_rng(11)
         d, t, w = 4, 5, 2
-        params = init_contextualizer("window-mixer", d, rng)
+        params = fresh_ctx_params("window-mixer", d, seed=11)
         x = rng.normal(size=(t, d))
         out = apply_contextualizer(Tensor(x), params, "window-mixer", window=w).data
 
@@ -156,7 +166,7 @@ class TestContextualizers:
         # the token block starts as the identity map, so with no neighbors
         # the input passes through unchanged
         rng = np.random.default_rng(0)
-        params = init_contextualizer("window-mixer", 6, rng)
+        params = fresh_ctx_params("window-mixer", 6, seed=0)
         x = rng.normal(size=(1, 6))
         np.testing.assert_allclose(
             apply_contextualizer(Tensor(x), params, "window-mixer").data, x, rtol=1e-12)
@@ -164,7 +174,7 @@ class TestContextualizers:
     def test_self_attention_matches_manual_replay(self):
         rng = np.random.default_rng(7)
         d, t = 6, 4
-        params = init_contextualizer("self-attention", d, rng)
+        params = fresh_ctx_params("self-attention", d, seed=7)
         x = rng.normal(size=(t, d))
         out = apply_contextualizer(Tensor(x), params, "self-attention").data
 
@@ -183,7 +193,7 @@ class TestContextualizers:
         with pytest.raises(ValueError, match="unknown contextualizer"):
             apply_contextualizer(Tensor(np.zeros((2, 2))), {}, "lstm")
         with pytest.raises(ValueError, match="unknown contextualizer"):
-            init_contextualizer("lstm", 4, np.random.default_rng(0))
+            contextualizer_shapes("lstm", 4)
 
 
 class TestGradientCheck:

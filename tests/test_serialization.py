@@ -11,7 +11,7 @@ import pytest
 from lsner import serialization
 from lsner.autodiff import Tensor
 from lsner.cli import main
-from lsner.encoders import LabelEncoderParams, TokenEncoderParams, build_vocabulary
+from lsner.encoders import EncoderParams, build_vocabulary
 from lsner.matcher import (ModelState, build_label_cache, init_model, predict_tags,
                            train_stage, TrainingConfig)
 from lsner.numeric import CONTEXTUALIZER_KINDS, ParamGroup
@@ -217,8 +217,8 @@ def reference_init_model(vocab, taxonomy, dim=32, seed=0, token_ctx="self-attent
         table = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(len(vocab), dim))
     embedding = ParamGroup("embedding", Tensor(table))
 
-    token_params = TokenEncoderParams(
-        dim=dim, embedding=embedding,
+    token_params = EncoderParams(
+        embedding=embedding,
         ctx_kind=token_ctx,
         ctx_params=reference_init_contextualizer(token_ctx, dim, rng, prefix="tok"),
         caps=ParamGroup("caps", Tensor(np.zeros((4, dim)))) if caps_feature else None,
@@ -232,8 +232,8 @@ def reference_init_model(vocab, taxonomy, dim=32, seed=0, token_ctx="self-attent
             Tensor(rng.normal(0.0, 1.0 / np.sqrt(dim), size=(len(vocab), dim))))
     if label_pool is None:
         label_pool = "max" if label_ctx == "identity" else "first"
-    label_params = LabelEncoderParams(
-        dim=dim, embedding=label_embedding,
+    label_params = EncoderParams(
+        embedding=label_embedding,
         ctx_kind=label_ctx,
         ctx_params=reference_init_contextualizer(label_ctx, dim, rng, prefix="lab"),
         pool=label_pool, window=window)
@@ -286,7 +286,7 @@ class TestDirectLoad:
             new, old = getattr(model, side), getattr(ref, side)
             assert list(new.ctx_params) == list(old.ctx_params)
             assert [g.name for g in new.groups()] == [g.name for g in old.groups()]
-            assert (new.ctx_kind, new.window, new.dim) == (old.ctx_kind, old.window, old.dim)
+            assert (new.ctx_kind, new.window) == (old.ctx_kind, old.window)
         assert model.label_params.pool == ref.label_params.pool
 
     @pytest.mark.parametrize("kind", MODEL_KINDS, ids=kind_id)
