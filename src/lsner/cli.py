@@ -22,7 +22,8 @@ from .corpus import (RENAME_MODES, Sentence, conll_sentences, load_conll,
                      load_taxonomy, rename_taxonomy, text_lines)
 from .encoders import build_vocabulary, load_static_vectors, static_table
 from .evaluation import aggregate_runs, evaluate_dataset, result_record
-from .matcher import TrainingConfig, build_label_cache, init_model, predict_tags, run_two_stage
+from .matcher import (TrainingConfig, build_label_cache, check_label_cache, init_model,
+                      predict_tags, run_two_stage)
 from .numeric import CONTEXTUALIZER_KINDS
 from .sampler import (load_support, sample_support, serialize_support,
                       support_dataset, verify_kshot)
@@ -33,10 +34,6 @@ TRAIN_SEED_OFFSET = 10000
 RENAME_SEED_OFFSET = 20000
 
 
-class CliError(RuntimeError):
-    pass
-
-
 def config_entries(path):
     """Yield (line number, key, value) for each ``key = value`` line."""
     for lineno, line in enumerate(text_lines(path), start=1):
@@ -44,7 +41,7 @@ def config_entries(path):
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key = value")
+            raise ValueError(f"{path}:{lineno}: expected key = value")
         key, value = line.split("=", 1)
         yield lineno, key.strip(), value.strip()
 
@@ -146,11 +143,11 @@ def parse_run_config(args):
         try:
             values[key] = _parse(fields.get(key), text)
         except ValueError as exc:
-            raise CliError(f"{where}: {key}: {exc}") from None
+            raise ValueError(f"{where}: {key}: {exc}") from None
     if values.get("no_prefinetune"):
         values["prefinetune_epochs"] = 0
     if values.get("out") is None:
-        raise CliError(f"{args.config or 'command line'}: out: missing (key or --out)")
+        raise ValueError(f"{args.config or 'command line'}: out: missing (key or --out)")
     return RunConfig(**values)
 
 
@@ -176,10 +173,10 @@ def _finish(out_dir, command, cfg, seeds, inputs, outputs, failures):
     return 1 if failures else 0
 
 
-def _load_target(cfg, split="train"):
+def _load_target(cfg, split):
     path = getattr(cfg, f"target_{split}")
     if path is None:
-        raise CliError(f"config is missing target_{split}")
+        raise ValueError(f"config is missing target_{split}")
     taxonomy = load_taxonomy(cfg.taxonomy) if cfg.taxonomy is not None else None
     return load_conll(path, taxonomy=taxonomy)
 
@@ -200,6 +197,16 @@ def _run_taxonomy(cfg, base):
     return renamed
 
 
+def _draw_support(target, k, seed):
+    """A K-shot support set of `target` drawn at `seed` that `verify_kshot` passed."""
+    support = sample_support(target, k, np.random.default_rng(seed))
+    support.seed = seed
+    verdict = verify_kshot(target, support, k)
+    if not verdict.ok:
+        raise RuntimeError(f"sampled set failed {verdict.reason}")
+    return support
+
+
 def cmd_sample(cfg, args):
     out_dir = Path(cfg.out)
     target = _load_target(cfg, "train")
@@ -208,13 +215,8 @@ def cmd_sample(cfg, args):
     for k in cfg.k:
         sizes = []
         for i in range(cfg.repeats):
-            seed = cfg.base_seed + i
             try:
-                support = sample_support(target, k, np.random.default_rng(seed))
-                support.seed = seed
-                verdict = verify_kshot(target, support, k)
-                if not verdict.ok:
-                    raise RuntimeError(f"sampled set failed {verdict.reason}")
+                support = _draw_support(target, k, cfg.base_seed + i)
             except Exception as exc:
                 failures.append(f"k={k} run={i}: {exc}")
                 continue
@@ -286,15 +288,13 @@ def cmd_train(cfg, args):
     outputs, failures = [], []
     for k in cfg.k:
         for i in range(cfg.repeats):
-            sample_seed = cfg.base_seed + i
             train_seed = cfg.base_seed + TRAIN_SEED_OFFSET + i
             try:
                 support_path = out_dir / f"support_k{k}_run{i}.txt"
                 if support_path.exists():
                     support = _reused_support(support_path, target, k)
                 else:
-                    support = sample_support(target, k, np.random.default_rng(sample_seed))
-                    support.seed = sample_seed
+                    support = _draw_support(target, k, cfg.base_seed + i)
                     support_path.write_text(serialize_support(support), encoding="utf-8")
                     outputs.append(support_path)
                 taxonomy = run_taxonomy(i)
@@ -373,16 +373,12 @@ def cmd_predict(args):
     model = load_checkpoint(args.checkpoint)
     if args.cache:
         cache = load_label_cache(args.cache)
-        # once per command, naming the file; a wrong shape drops labels or indexes past them
-        got, shape = cache.matrix.shape, (len(model.tag_labels), model.config["dim"])
-        if cache.taxonomy_hash != model.taxonomy_digest:
-            raise CliError(f"--cache {args.cache}: label cache does not match the taxonomy")
-        if got != shape:
-            raise CliError(f"--cache {args.cache}: label matrix {got}, the model needs {shape}")
+        try:  # once per command and naming the file; an empty input is checked too
+            check_label_cache(model, cache)
+        except ValueError as exc:
+            raise ValueError(f"--cache {args.cache}: {exc}") from None
     else:
         cache = build_label_cache(model)
-        if args.cache_out:
-            save_label_cache(cache, args.cache_out)
 
     lines = []
     for rows in conll_sentences(text_lines(args.input)):
@@ -390,6 +386,8 @@ def cmd_predict(args):
         tags = predict_tags(model, Sentence(tokens, ["O"] * len(tokens)), cache=cache)
         lines += [f"{tok} {tag}" for tok, tag in zip(tokens, tags)]
         lines.append("")
+    if args.cache_out and not args.cache:  # only once the whole input is tagged
+        save_label_cache(cache, args.cache_out)
     Path(args.output).write_text(
         "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     return 0
@@ -449,7 +447,7 @@ def main(argv=None):
             Path(cfg.out).mkdir(parents=True, exist_ok=True)
             return func(cfg, args)
         return func(args)
-    except (CliError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

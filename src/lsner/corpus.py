@@ -351,7 +351,7 @@ def rename_taxonomy(taxonomy, mode, rng=None, mapping=None):
     return LabelTaxonomy([(orig, mapping[orig]) for orig, _ in types])
 
 
-def filter_coarse_type(dataset, coarse, rng, separator="-"):
+def filter_coarse_type(dataset, coarse, rng):
     """Keep only annotations under one coarse type, then rebalance.
 
     Annotations of other coarse types are erased to O. Unannotated
@@ -359,7 +359,7 @@ def filter_coarse_type(dataset, coarse, rng, separator="-"):
     at least one annotation matches the original dataset (the retained
     unannotated count is rounded down). Annotated sentences all survive.
     """
-    prefix = coarse + separator
+    prefix = coarse + "-"
     kept_types = [(o, n) for o, n in dataset.taxonomy.types
                   if o == coarse or o.startswith(prefix)]
     if not kept_types:

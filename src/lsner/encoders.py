@@ -21,9 +21,18 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 MASK_TOKEN = "<mask>"
 
-CONTEXTUAL_SCHEMES = ("TOKEN", "LABEL", "MASK", "BIOTAG_COLON_MASK",
-                      "PAREN_BIOTAG_MASK", "BIOTAG_COLON_LABEL",
-                      "PAREN_BIOTAG_LABEL")
+# contextual sub-scheme -> what replaces each token of the chosen entity
+# span, with {bio} "begin" or "inside"; None keeps the original token
+_REPLACEMENTS = {
+    "TOKEN": None,
+    "LABEL": "{name}",
+    "MASK": "{mask}",
+    "BIOTAG_COLON_MASK": "{bio} : {mask}",
+    "PAREN_BIOTAG_MASK": "( {bio} ) {mask}",
+    "BIOTAG_COLON_LABEL": "{bio} : {name}",
+    "PAREN_BIOTAG_LABEL": "( {bio} ) {name}",
+}
+CONTEXTUAL_SCHEMES = tuple(_REPLACEMENTS)
 # most support sentences a contextual scheme encodes per tagging label
 CONTEXT_BUDGET = 10
 
@@ -121,22 +130,11 @@ def _encode_token_list(tokens, params, vocab):
 
 def _replacement(sub, position_in_span, name_tokens):
     """Token sequence that replaces one entity token under a sub-scheme."""
+    template = _REPLACEMENTS[sub]
+    if template is None:
+        return None
     bio = "begin" if position_in_span == 0 else "inside"
-    if sub == "TOKEN":
-        return None  # keep original token
-    if sub == "LABEL":
-        return list(name_tokens)
-    if sub == "MASK":
-        return [MASK_TOKEN]
-    if sub == "BIOTAG_COLON_LABEL":
-        return [bio, ":"] + list(name_tokens)
-    if sub == "PAREN_BIOTAG_LABEL":
-        return ["(", bio, ")"] + list(name_tokens)
-    if sub == "BIOTAG_COLON_MASK":
-        return [bio, ":", MASK_TOKEN]
-    if sub == "PAREN_BIOTAG_MASK":
-        return ["(", bio, ")", MASK_TOKEN]
-    raise ValueError(f"unknown sub-scheme {sub!r}")
+    return template.format(bio=bio, name=" ".join(name_tokens), mask=MASK_TOKEN).split()
 
 
 def build_contextual_label_inputs(label, support_sentences, sub, rng, spans=None):

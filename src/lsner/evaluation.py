@@ -34,7 +34,6 @@ class PRF:
 
 @dataclass
 class RunSummary:
-    scores: list
     mean: float
     std: float  # sample std (n-1); 0 for a single run
 
@@ -100,9 +99,9 @@ def aggregate_runs(scores):
     n = len(scores)
     mean = sum(scores) / n
     if n == 1:
-        return RunSummary(scores, mean, 0.0)
+        return RunSummary(mean, 0.0)
     var = sum((s - mean) ** 2 for s in scores) / (n - 1)
-    return RunSummary(scores, mean, math.sqrt(var))
+    return RunSummary(mean, math.sqrt(var))
 
 
 def format_record(fields):
@@ -110,18 +109,12 @@ def format_record(fields):
     return " ".join(f"{k}={v}" for k, v in fields.items())
 
 
-def result_record(result, dataset="", k=None, seed=None):
-    fields = {"dataset": dataset}
-    if k is not None:
-        fields["k"] = k
-    if seed is not None:
-        fields["seed"] = seed
-    fields.update({
-        "precision": f"{result.overall.precision:.6f}",
-        "recall": f"{result.overall.recall:.6f}",
-        "f1": f"{result.overall.f1:.6f}",
-        "violations": result.violations,
-    })
+def result_record(result, dataset, k, seed):
+    fields = {"dataset": dataset, "k": k, "seed": seed,
+              "precision": f"{result.overall.precision:.6f}",
+              "recall": f"{result.overall.recall:.6f}",
+              "f1": f"{result.overall.f1:.6f}",
+              "violations": result.violations}
     for etype, prf in result.per_type.items():
         fields[f"f1[{etype}]"] = f"{prf.f1:.6f}"
     return format_record(fields)

@@ -186,21 +186,27 @@ def label_matrix(model, contexts=None):
     return encode_labels(model.tag_labels, model.label_params, model.vocab, contexts)
 
 
+def check_label_cache(model, cache):
+    """Raise ValueError unless `cache` has a row of the model's width per label of its taxonomy."""
+    if cache.taxonomy_hash != model.taxonomy_digest:
+        raise ValueError("label cache does not match the taxonomy")
+    got, shape = cache.matrix.shape, (len(model.tag_labels), model.config["dim"])
+    if got != shape:
+        raise ValueError(f"label matrix {got}, the model needs {shape}")
+
+
 def predict_tags(model, sentence, cache=None):
     """Per-token argmax prediction mapped back to surface BIO tags.
 
-    With a LabelCache the label encoder is not run; the cache must match
-    the model's current taxonomy.
+    With a LabelCache, which must fit the model (`check_label_cache`), the
+    label encoder is not run; without one it runs for this call.
     """
+    if cache is None:
+        cache = build_label_cache(model)
+    check_label_cache(model, cache)
     with ad.no_grad():
-        if cache is not None:
-            if cache.taxonomy_hash != model.taxonomy_digest:
-                raise ValueError("label cache does not match the current taxonomy")
-            b = Tensor(cache.matrix)
-        else:
-            b = label_matrix(model)
         e = encode_tokens(sentence, model.token_params, model.vocab)
-        logits = score_tokens(e, b).data
+        logits = score_tokens(e, Tensor(cache.matrix)).data
     picks = np.argmax(logits, axis=1)  # first max wins on ties
     return [surface_tag(model.tag_labels[i]) for i in picks]
 
@@ -210,10 +216,8 @@ def gold_indices(sentence, tag_labels):
     return [by_surface[t] for t in sentence.tags]
 
 
-def sentence_loss(model, sentence, labels=None):
-    """Cross-entropy of one sentence; gradients reach both encoders."""
-    if labels is None:
-        labels = label_matrix(model)
+def sentence_loss(model, sentence, labels):
+    """Cross-entropy of one sentence against label rows `labels`; gradients reach both encoders."""
     e = encode_tokens(sentence, model.token_params, model.vocab)
     logits = score_tokens(e, labels)
     return token_cross_entropy(logits, gold_indices(sentence, model.tag_labels))
@@ -232,11 +236,10 @@ ADAM_LIVE_FRACTION = 0.4
 class Adam:
     """Bias-corrected adaptive-moment optimizer over ParamGroups."""
 
-    def __init__(self, groups, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, groups, lr=1e-3):
         self.groups = list(groups)
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
+        self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
         self.m = [np.zeros_like(g.values) for g in self.groups]
         self.v = [np.zeros_like(g.values) for g in self.groups]

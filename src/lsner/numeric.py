@@ -2,7 +2,7 @@
 
 Each operation takes and returns autodiff Tensors, so training and
 inference run the same code; under `no_grad()` no tape is recorded.
-`softmax_rows` alone also takes a plain array and returns one.
+`softmax_rows` alone takes a plain array and returns one.
 Tie-breaking is always lowest-index; softmax is always max-subtracted.
 `contextualizer_shapes` is the one statement of a contextualizer's arrays.
 """
@@ -50,12 +50,11 @@ def _check_finite(data, what):
 
 
 def softmax_rows(m):
-    """Row-wise stable softmax of a 2-D Tensor; a plain array gives an array."""
-    if not isinstance(m, Tensor):
-        with ad.no_grad():
-            return softmax_rows(Tensor(np.asarray(m, dtype=float))).data
-    _check_finite(m.data, "softmax_rows")
-    return ad.softmax_rows_t(m)
+    """Row-wise stable softmax of a 2-D array, as an array."""
+    m = np.asarray(m, dtype=float)
+    _check_finite(m, "softmax_rows")
+    with ad.no_grad():
+        return ad.softmax_rows_t(Tensor(m)).data
 
 
 def token_cross_entropy(logits, gold):
@@ -116,7 +115,7 @@ def _window_average_matrices(t, window):
     return left, right
 
 
-def apply_contextualizer(x, params, kind, window=2):
+def apply_contextualizer(x, params, kind, window):
     """Contextualize a T x d Tensor of token vectors.
 
     identity: returns the input. window-mixer: linear map of

@@ -37,15 +37,14 @@ class SyntheticTask:
         return words
 
 
-def _make_sentences(rng, types, families, n, fillers,
-                    empty_frac=0.2, max_spans=2):
+def _make_sentences(rng, types, families, n, fillers):
     sentences = []
     for _ in range(n):
         n_fill = int(rng.integers(4, 9))
         base = [fillers[int(rng.integers(len(fillers)))] for _ in range(n_fill)]
         spans_at = {}
-        if types and rng.random() >= empty_frac:
-            n_spans = int(rng.integers(1, max_spans + 1))
+        if types and rng.random() >= 0.2:  # a fifth of the sentences hold no entity
+            n_spans = int(rng.integers(1, 3))  # else one or two spans
             # distinct gaps keep spans separated by at least one filler
             gaps = rng.choice(n_fill + 1, size=min(n_spans, n_fill + 1),
                               replace=False)
@@ -70,13 +69,13 @@ def _make_sentences(rng, types, families, n, fillers,
 
 
 def make_task(seed=0, dim=32, n_source=2000, n_target_train=500, n_test=500,
-              words_per_family=8, n_fillers=160, base_scale=3.0,
-              noise_scale=0.3):
+              words_per_family=8, n_fillers=160):
     """Build the three-way source/target corpus with family-prior vectors.
 
     Source taxonomy covers families 0-2; the target taxonomy uses the two
     held-out families 3-4. Total vocabulary: 5 * words_per_family entity
-    words plus n_fillers filler words (200 with the defaults).
+    words plus n_fillers filler words (200 with the defaults). A family word's
+    vector is 3 times its family's unit direction plus noise of norm about 0.3.
     """
     rng = np.random.default_rng([seed, 71])
     family_words = {i: [f"ent{i}x{j}" for j in range(words_per_family)]
@@ -93,14 +92,14 @@ def make_task(seed=0, dim=32, n_source=2000, n_target_train=500, n_test=500,
     target_tax = LabelTaxonomy([(t, families[t][0]) for t in target_types])
     synonym_map = {t: families[t][1] for t in target_types}
 
-    # family direction u_i (unit), word = base_scale * u_i + small noise
+    # family direction u_i (unit), word = 3 * u_i + small noise
     vectors = {}
     for i in range(5):
         u = rng.normal(0.0, 1.0, size=dim)
         u /= np.linalg.norm(u)
         for word in family_words[i]:
-            noise = rng.normal(0.0, noise_scale / np.sqrt(dim), size=dim)
-            vectors[word] = base_scale * u + noise
+            noise = rng.normal(0.0, 0.3 / np.sqrt(dim), size=dim)
+            vectors[word] = 3.0 * u + noise
     for word in fillers + ["begin", "inside", "other", "label"] + [str(i) for i in range(1, 10)]:
         vectors[word] = rng.normal(0.0, 1.0 / np.sqrt(dim), size=dim)
 

@@ -11,7 +11,7 @@ from lsner import cli
 from lsner.cli import RunConfig, config_entries, main, sha256_file
 from lsner.corpus import load_conll, serialize_conll, serialize_taxonomy
 from lsner.matcher import LabelCache
-from lsner.sampler import load_support, verify_kshot
+from lsner.sampler import load_support, sample_support, verify_kshot
 from lsner.serialization import load_checkpoint, load_label_cache, save_label_cache
 from lsner.synthetic import make_task
 
@@ -192,6 +192,22 @@ class TestTrain:
         assert rc == 1
         assert (out / "failures.txt").read_text() == \
             "k=1 run=0: support_k1_run0.txt: index 21 out of range (10 sentences)\n"
+        assert not (out / "model_k1_run0.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "train"])
+    def test_fresh_draw_that_fails_verification_is_a_named_failure(self, workspace, tmp_path,
+                                                                   monkeypatch, command):
+        def padded_sample_support(dataset, k, rng):  # one sentence too many
+            support = sample_support(dataset, k, rng)
+            support.indices.append(min(set(range(len(dataset.sentences))) - set(support.indices)))
+            return support
+        monkeypatch.setattr(cli, "sample_support", padded_sample_support)
+        out = tmp_path / command
+        rc = main([command, "--config", str(workspace / "run.cfg"), "--out", str(out)])
+        assert rc == 1
+        assert (out / "failures.txt").read_text() == \
+            "k=1 run=0: sampled set failed criterion2_failed\n"
+        assert not (out / "support_k1_run0.txt").exists()
         assert not (out / "model_k1_run0.ckpt").exists()
 
     @pytest.mark.parametrize("header_k, indices, reason", [
@@ -465,6 +481,16 @@ class TestInputErrors:
         else:
             assert rc == 2
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_failed_predict_leaves_no_cache_and_no_output(self, workspace, trained, tmp_path,
+                                                          capsys):
+        bad = with_bad_byte(workspace / "target_test.conll", tmp_path / "in.conll")
+        cache, pred = tmp_path / "labels.bin", tmp_path / "pred.conll"
+        rc = main(["predict", "--checkpoint", str(trained / "model_k1_run0.ckpt"),
+                   "--cache-out", str(cache), str(bad), str(pred)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8 text\n"
+        assert not cache.exists() and not pred.exists()
 
     @pytest.mark.parametrize("command", ["train", "predict"])
     def test_directory_path_is_a_named_error(self, workspace, tmp_path, capsys, command):

@@ -1,19 +1,20 @@
 """Entity-level micro F1, per-type scores and run aggregation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from lsner import evaluation, matcher
 from lsner.corpus import (EntitySpan, LabelTaxonomy, Sentence, Dataset, extract_spans,
-                          repair_bio)
+                          rename_taxonomy, repair_bio)
 from lsner.encoders import build_vocabulary, encode_labels
 from lsner.evaluation import (PRF, EvalResult, aggregate_runs, evaluate_dataset,
                               format_record, micro_f1, per_type_f1,
                               result_record)
-from lsner.matcher import (TrainingConfig, build_label_cache, init_model, predict_tags,
-                           train_stage)
+from lsner.matcher import (LabelCache, TrainingConfig, build_label_cache, init_model,
+                           predict_tags, taxonomy_hash, train_stage)
 from lsner.numeric import CONTEXTUALIZER_KINDS
 
 
@@ -151,3 +152,23 @@ class TestSingleLabelEncode:
         assert len(calls) == 1
         evaluate_dataset(model, tiny_dataset, cache=cache)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda model, data, cache: evaluate_dataset(model, data, cache=cache),
+    lambda model, data, cache: predict_tags(model, data.sentences[0], cache=cache),
+], ids=["evaluate_dataset", "predict_tags"])
+@pytest.mark.parametrize("edit, error", [
+    (lambda m, c: LabelCache(c.taxonomy_hash, c.matrix[:1]),
+     "label matrix (1, 8), the model needs (5, 8)"),
+    (lambda m, c: LabelCache(c.taxonomy_hash, np.vstack([c.matrix, c.matrix[:2]])),
+     "label matrix (7, 8), the model needs (5, 8)"),
+    (lambda m, c: LabelCache(taxonomy_hash(rename_taxonomy(m.taxonomy, "meaningless")),
+                             c.matrix),
+     "label cache does not match the taxonomy"),
+], ids=["one-row", "extra-rows", "other-taxonomy"])
+def test_cache_that_does_not_fit_is_refused(small_model, tiny_dataset, call, edit, error):
+    # in process as through `lsner predict`: no silently wrong tags, no IndexError
+    cache = edit(small_model, build_label_cache(small_model))
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        call(small_model, tiny_dataset, cache)

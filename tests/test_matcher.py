@@ -137,7 +137,7 @@ class TestPrediction:
         m = init_model(vocab, tiny_dataset.taxonomy, dim=4, seed=0,
                        token_ctx="identity", caps_feature=False,
                        static_table=np.zeros((len(vocab), 4)))
-        loss = sentence_loss(m, tiny_dataset.sentences[0])
+        loss = sentence_loss(m, tiny_dataset.sentences[0], label_matrix(m))
         n_tagging = 2 * tiny_dataset.taxonomy.n_labels - 1
         assert float(loss.data) == pytest.approx(np.log(n_tagging), rel=1e-12)
 

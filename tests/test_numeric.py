@@ -41,16 +41,11 @@ class TestSoftmax:
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out.sum(), 1.0, rtol=1e-12)
 
-    def test_tensor_matches_array(self):
-        m = np.array([[0.5, -1.0, 2.0], [3.0, 3.0, -4.0]])
-        np.testing.assert_allclose(softmax_rows(Tensor(m.copy())).data,
-                                   softmax_rows(m), rtol=1e-14)
-
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
             softmax_rows(np.array([[1.0, np.nan]]))
         with pytest.raises(ValueError, match="non-finite"):
-            softmax_rows(Tensor(np.array([[np.inf, 0.0]])))
+            softmax_rows(np.array([[np.inf, 0.0]]))
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=6),
            st.floats(-100, 100))
@@ -145,7 +140,8 @@ def fresh_ctx_params(kind, dim, seed):
 class TestContextualizers:
     def test_identity_returns_input(self):
         x = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_array_equal(apply_contextualizer(Tensor(x), {}, "identity").data, x)
+        out = apply_contextualizer(Tensor(x), {}, "identity", window=2).data
+        np.testing.assert_array_equal(out, x)
 
     def test_window_mixer_matches_manual_replay(self):
         rng = np.random.default_rng(11)
@@ -169,14 +165,15 @@ class TestContextualizers:
         params = fresh_ctx_params("window-mixer", 6, seed=0)
         x = rng.normal(size=(1, 6))
         np.testing.assert_allclose(
-            apply_contextualizer(Tensor(x), params, "window-mixer").data, x, rtol=1e-12)
+            apply_contextualizer(Tensor(x), params, "window-mixer", window=2).data, x,
+            rtol=1e-12)
 
     def test_self_attention_matches_manual_replay(self):
         rng = np.random.default_rng(7)
         d, t = 6, 4
         params = fresh_ctx_params("self-attention", d, seed=7)
         x = rng.normal(size=(t, d))
-        out = apply_contextualizer(Tensor(x), params, "self-attention").data
+        out = apply_contextualizer(Tensor(x), params, "self-attention", window=2).data
 
         pos = x + sinusoidal_positions(t, d)
         q = pos @ params["wq"].values
@@ -191,7 +188,7 @@ class TestContextualizers:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown contextualizer"):
-            apply_contextualizer(Tensor(np.zeros((2, 2))), {}, "lstm")
+            apply_contextualizer(Tensor(np.zeros((2, 2))), {}, "lstm", window=2)
         with pytest.raises(ValueError, match="unknown contextualizer"):
             contextualizer_shapes("lstm", 4)
 

@@ -41,6 +41,16 @@ def test_matrix_lists_every_kind_of_output(parity, tmp_path):
         # relative paths only, so two trees' manifests compare byte for byte
         for manifest in (tmp_path / "run" / model).rglob("manifest_*.json"):
             assert str(tmp_path) not in manifest.read_text()
+    # the benchmark's models: every stage's losses and parameter digests
+    stages = ["prefinetune.txt"] + [f"finetune_{scheme.replace(':', '_')}.txt"
+                                    for scheme in parity.SCHEMES]
+    for name in parity.BENCH_MODELS:
+        for seed in parity.BENCH_SEEDS:
+            for stage in stages:
+                assert f"bench/{name}_seed{seed}/{stage}" in digests
+            record = (tmp_path / "run" / "bench" / f"{name}_seed{seed}" / stages[-1]).read_text()
+            assert re.fullmatch(r"(epoch=\d+ loss=-?0x[0-9a-f.p+-]+\n)+([\w.]+ [0-9a-f]{64}\n)+",
+                                record)
 
 
 def test_refuses_a_directory_that_exists(parity, tmp_path):

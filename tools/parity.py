@@ -5,8 +5,16 @@ Runs one fixed matrix of `lsner` commands in this process, against the
 relative paths, so that manifests compare byte for byte too. Then prints
 one ``path sha256`` line per file in that directory, sorted by path:
 the generated inputs, every output and each model's command log (what
-each command printed, and its exit code). Two source trees give equal
-listings when their outputs are byte-identical:
+each command printed, and its exit code).
+
+A second section trains the benchmark's own models, which the command
+line never builds: perfbench's desk model (window-mixer at window 1,
+"mean" label pooling, a static table) and its 20k model (self-attention
+at d=128 with caps), on inputs from `perfbench.data` at the sizes of
+`perfbench.workloads.TINY`, at two seeds. Under ``bench/`` it writes each
+stage's per-epoch losses as float hex and the sha256 of every parameter
+array. Two source trees give equal listings when their outputs are
+byte-identical:
 
     PYTHONPATH=a/src python tools/parity.py > a.txt
     PYTHONPATH=b/src python tools/parity.py > b.txt
@@ -18,6 +26,7 @@ when a command of the matrix fails.
 """
 
 import contextlib
+import copy
 import hashlib
 import io
 import os
@@ -25,9 +34,17 @@ import sys
 import tempfile
 from pathlib import Path
 
-from lsner.cli import main as lsner
-from lsner.corpus import serialize_conll, serialize_taxonomy
-from lsner.synthetic import make_task
+import numpy as np
+
+# the repository root, for perfbench; lsner is the one on PYTHONPATH
+sys.path.append(str(Path(__file__).resolve().parents[1]))
+
+from lsner.cli import main as lsner  # noqa: E402
+from lsner.corpus import serialize_conll, serialize_taxonomy  # noqa: E402
+from lsner.matcher import TrainingConfig, train_stage  # noqa: E402
+from lsner.sampler import sample_support, support_dataset  # noqa: E402
+from lsner.synthetic import make_task  # noqa: E402
+from perfbench.workloads import TINY, WORKLOADS  # noqa: E402
 
 # the three model kinds: contextualizers, tying, caps and label scheme
 MODELS = {
@@ -96,6 +113,46 @@ def commands(model):
     ]
 
 
+# bench/ directory name -> the workload whose inputs and model it trains
+BENCH_MODELS = {"desk": "fewshot-desk", "20k": "train-20k"}
+BENCH_SEEDS = (1, 2)
+SCHEMES = ("name", "contextual:BIOTAG_COLON_MASK")
+
+
+def stage_record(trace, model):
+    """Each epoch's loss as float hex, then each parameter array's sha256."""
+    lines = [f"epoch={e} loss={loss.hex()}" for e, loss in enumerate(trace)]
+    lines += [f"{g.name} {hashlib.sha256(g.values.tobytes()).hexdigest()}"
+              for g in model.param_groups()]
+    return "\n".join(lines) + "\n"
+
+
+def train_bench_models():
+    """Per benchmark model and seed: one prefinetune epoch on the source,
+    then finetuning under each scheme on one 5-shot draw of the target, as
+    the workload's finetune phase does; one record per stage."""
+    for name, workload in BENCH_MODELS.items():
+        cfg = dict(WORKLOADS[workload], **TINY[workload])
+        for seed in BENCH_SEEDS:
+            out = Path("bench", f"{name}_seed{seed}")
+            out.mkdir(parents=True)
+            inp = cfg["inputs"](seed, cfg, out / "predict_input.conll")  # perfbench.data
+            stage1 = inp.stage0
+            trace = train_stage(stage1, inp.source,
+                                TrainingConfig(seed=seed, prefinetune_epochs=1),
+                                stage="prefinetune")
+            (out / "prefinetune.txt").write_text(stage_record(trace, stage1), encoding="utf-8")
+            draw = sample_support(inp.target, 5, np.random.default_rng([seed, 5, 0]))
+            support = support_dataset(inp.target, draw)
+            for scheme in SCHEMES:
+                model = copy.deepcopy(stage1)
+                config = TrainingConfig(seed=seed, scheme=scheme,
+                                        finetune_epochs=cfg["finetune_epochs"])
+                trace = train_stage(model, support, config, support_sentences=support.sentences)
+                (out / f"finetune_{scheme.replace(':', '_')}.txt").write_text(
+                    stage_record(trace, model), encoding="utf-8")
+
+
 def sha256(path):
     # hashed here, not by the tree under test, so both listings use one digest
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -120,6 +177,7 @@ def run(workdir):
                 if code != 0:
                     failed.append(" ".join(argv))
             Path(model, "log.txt").write_text(log.getvalue(), encoding="utf-8")
+        train_bench_models()
         paths = sorted(p.as_posix() for p in Path().rglob("*") if p.is_file())
         return [f"{p} {sha256(p)}" for p in paths], failed
     finally:
